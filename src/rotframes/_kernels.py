@@ -1,189 +1,64 @@
-"""Inner integration kernel for spin transport.
+"""Fixed-step RK4 spin transport, evaluated as an exact power of the step map.
 
-The fixed-step Runge-Kutta loop dominates runtime for long transports, so
-it is JIT-compiled with numba by default. Setting ROTFRAMES_DISABLE_NUMBA
-to anything other than "" or "0" (or running without numba installed)
-selects the pure-numpy twin instead. Both implementations share one call
-signature and sampling behaviour and agree to rounding error;
-``benchmarks/bench_transport.py`` times them against each other.
+One classical RK4 step of dS/dtau = M S is S -> P S with P = R(hM) and
+R(z) = 1 + z + z^2/2 + z^3/6 + z^4/24, the RK4 stability function. On a
+circular orbit M annihilates u and is antisymmetric in the metric, so it
+generates a rotation in u's rest frame: M^3 = -Omega^2 M with
+Omega^2 = -tr(M^2)/2. Every power of P then reduces to I, M and M^2:
+
+    P^n = I + (r^n sin(n theta) / Omega) M + ((1 - r^n cos(n theta)) / Omega^2) M^2,
+
+where y = h Omega and r e^(i theta) = R(iy). At Omega = 0 the limit
+P^n = I + n h M + (n h)^2 / 2 M^2 is exact whenever M^3 = 0.
+
+The drift at the samples is the drift of every step: u_low P = u_low, so
+S.u is kept exactly, and S.S changes only in the rotation plane, by the
+factor r^(2n). r < 1 for 0 < y < 2 sqrt(2) and r >= 1 beyond, so the S.S
+drift is monotone in n and largest at the last step, which is sampled.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-ENV_DISABLE = "ROTFRAMES_DISABLE_NUMBA"
+from .errors import ConstraintDriftError
+
+#: Read by tools that report the transport backend. The closed form needs
+#: no compiled kernel, so this is always False.
+USING_NUMBA = False
 
 
-def _numba_requested() -> bool:
-    return os.environ.get(ENV_DISABLE, "").strip() in ("", "0")
+def fw_rk4(m, s0, h, record_idx, g_diag, u):
+    """Spin after record_idx[k] RK4 steps of size h, for every k.
 
-
-def fw_rk4_numpy(m, s0, h, record_idx, g_diag, u):
-    """Classical RK4 for dS/dtau = M S along a uniform circular worldline.
-
-    Parameters
-    ----------
-    m : (4, 4) constant transport generator (connection plus boost terms).
-    s0 : (4,) initial contravariant spin components.
-    h : proper-time step.
-    record_idx : increasing int64 step indices to sample; the last entry
-        is the total step count and index 0 samples the initial state.
-    g_diag : (4,) metric diagonal at the orbit radius.
-    u : (4,) contravariant four-velocity of the worldline.
-
-    Returns (samples, max_ortho, max_norm_drift): samples[k] is the spin
-    at step record_idx[k], max_ortho the largest |g_ab S^a u^b| seen and
-    max_norm_drift the largest |g_ab S^a S^b - initial| seen. The exact
-    flow conserves both quadratic forms, so either drifting flags
-    integration error.
-
-    The stage arithmetic is unrolled over the four components in plain
-    scalars; per-call overhead on length-4 arrays would otherwise dwarf
-    the work, and the operation order matches the jitted kernel.
+    m is the constant (4, 4) generator, s0 the initial contravariant spin,
+    record_idx increasing step counts (0 gives s0), g_diag the metric
+    diagonal and u the four-velocity. Returns (samples, max_ortho,
+    max_norm_drift): the (len(record_idx), 4) spins, the largest
+    |g_ab S^a u^b| and the largest |S.S - s0.s0| over s0 and the samples.
+    Raises ConstraintDriftError when M^3 = -Omega^2 M fails, which means
+    the worldline's acceleration does not fit its orbit.
     """
-    nrec = record_idx.shape[0]
-    out = np.empty((nrec, 4))
-    m00, m01, m02, m03 = m[0]
-    m10, m11, m12, m13 = m[1]
-    m20, m21, m22, m23 = m[2]
-    m30, m31, m32, m33 = m[3]
-    s_0, s_1, s_2, s_3 = (float(x) for x in s0)
-    gu0, gu1, gu2, gu3 = (float(x) for x in g_diag * u)
-    g0, g1, g2, g3 = (float(x) for x in g_diag)
-    k = 0
-    if record_idx[0] == 0:
-        out[0] = (s_0, s_1, s_2, s_3)
-        k = 1
-    norm0 = g0 * s_0 * s_0 + g1 * s_1 * s_1 + g2 * s_2 * s_2 + g3 * s_3 * s_3
-    max_ortho = abs(gu0 * s_0 + gu1 * s_1 + gu2 * s_2 + gu3 * s_3)
-    max_norm_drift = 0.0
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(int(record_idx[-1])):
-        a0 = m00 * s_0 + m01 * s_1 + m02 * s_2 + m03 * s_3
-        a1 = m10 * s_0 + m11 * s_1 + m12 * s_2 + m13 * s_3
-        a2 = m20 * s_0 + m21 * s_1 + m22 * s_2 + m23 * s_3
-        a3 = m30 * s_0 + m31 * s_1 + m32 * s_2 + m33 * s_3
-        t0 = s_0 + half * a0
-        t1 = s_1 + half * a1
-        t2 = s_2 + half * a2
-        t3 = s_3 + half * a3
-        b0 = m00 * t0 + m01 * t1 + m02 * t2 + m03 * t3
-        b1 = m10 * t0 + m11 * t1 + m12 * t2 + m13 * t3
-        b2 = m20 * t0 + m21 * t1 + m22 * t2 + m23 * t3
-        b3 = m30 * t0 + m31 * t1 + m32 * t2 + m33 * t3
-        t0 = s_0 + half * b0
-        t1 = s_1 + half * b1
-        t2 = s_2 + half * b2
-        t3 = s_3 + half * b3
-        c0 = m00 * t0 + m01 * t1 + m02 * t2 + m03 * t3
-        c1 = m10 * t0 + m11 * t1 + m12 * t2 + m13 * t3
-        c2 = m20 * t0 + m21 * t1 + m22 * t2 + m23 * t3
-        c3 = m30 * t0 + m31 * t1 + m32 * t2 + m33 * t3
-        t0 = s_0 + h * c0
-        t1 = s_1 + h * c1
-        t2 = s_2 + h * c2
-        t3 = s_3 + h * c3
-        d0 = m00 * t0 + m01 * t1 + m02 * t2 + m03 * t3
-        d1 = m10 * t0 + m11 * t1 + m12 * t2 + m13 * t3
-        d2 = m20 * t0 + m21 * t1 + m22 * t2 + m23 * t3
-        d3 = m30 * t0 + m31 * t1 + m32 * t2 + m33 * t3
-        s_0 = s_0 + sixth * (a0 + 2.0 * b0 + 2.0 * c0 + d0)
-        s_1 = s_1 + sixth * (a1 + 2.0 * b1 + 2.0 * c1 + d1)
-        s_2 = s_2 + sixth * (a2 + 2.0 * b2 + 2.0 * c2 + d2)
-        s_3 = s_3 + sixth * (a3 + 2.0 * b3 + 2.0 * c3 + d3)
-        d = abs(gu0 * s_0 + gu1 * s_1 + gu2 * s_2 + gu3 * s_3)
-        if d > max_ortho:
-            max_ortho = d
-        norm = g0 * s_0 * s_0 + g1 * s_1 * s_1 + g2 * s_2 * s_2 + g3 * s_3 * s_3
-        dn = abs(norm - norm0)
-        if dn > max_norm_drift:
-            max_norm_drift = dn
-        if k < nrec and i + 1 == record_idx[k]:
-            out[k] = (s_0, s_1, s_2, s_3)
-            k += 1
-    return out, max_ortho, max_norm_drift
-
-
-def _mv4_impl(m, v, out):
-    for i in range(4):
-        acc = 0.0
-        for j in range(4):
-            acc += m[i, j] * v[j]
-        out[i] = acc
-
-
-def _fw_rk4_loop(m, s0, h, record_idx, g_diag, u):
-    nrec = record_idx.shape[0]
-    out = np.empty((nrec, 4))
-    s = s0.copy()
-    k1 = np.empty(4)
-    k2 = np.empty(4)
-    k3 = np.empty(4)
-    k4 = np.empty(4)
-    tmp = np.empty(4)
-    k = 0
-    if record_idx[0] == 0:
-        for j in range(4):
-            out[0, j] = s[j]
-        k = 1
-    d = 0.0
-    norm0 = 0.0
-    for j in range(4):
-        d += g_diag[j] * s[j] * u[j]
-        norm0 += g_diag[j] * s[j] * s[j]
-    max_ortho = abs(d)
-    max_norm_drift = 0.0
-    half = 0.5 * h
-    sixth = h / 6.0
-    n_steps = record_idx[nrec - 1]
-    for i in range(n_steps):
-        _mv4(m, s, k1)
-        for j in range(4):
-            tmp[j] = s[j] + half * k1[j]
-        _mv4(m, tmp, k2)
-        for j in range(4):
-            tmp[j] = s[j] + half * k2[j]
-        _mv4(m, tmp, k3)
-        for j in range(4):
-            tmp[j] = s[j] + h * k3[j]
-        _mv4(m, tmp, k4)
-        for j in range(4):
-            s[j] = s[j] + sixth * (k1[j] + 2.0 * k2[j] + 2.0 * k3[j] + k4[j])
-        d = 0.0
-        norm = 0.0
-        for j in range(4):
-            d += g_diag[j] * s[j] * u[j]
-            norm += g_diag[j] * s[j] * s[j]
-        ad = abs(d)
-        if ad > max_ortho:
-            max_ortho = ad
-        dn = abs(norm - norm0)
-        if dn > max_norm_drift:
-            max_norm_drift = dn
-        if k < nrec and i + 1 == record_idx[k]:
-            for j in range(4):
-                out[k, j] = s[j]
-            k += 1
-    return out, max_ortho, max_norm_drift
-
-
-_njit = None
-if _numba_requested():
-    try:
-        from numba import njit as _njit
-    except ImportError:
-        _njit = None
-
-if _njit is not None:
-    _mv4 = _njit(cache=True)(_mv4_impl)
-    fw_rk4_numba = _njit(cache=True)(_fw_rk4_loop)
-    fw_rk4 = fw_rk4_numba
-    USING_NUMBA = True
-else:
-    fw_rk4_numba = None
-    fw_rk4 = fw_rk4_numpy
-    USING_NUMBA = False
+    m2 = m @ m
+    omega2 = max(-0.5 * float(np.trace(m2)), 0.0)
+    if np.linalg.norm(m @ m2 + omega2 * m) > 1e-12 * np.linalg.norm(m) ** 3:
+        raise ConstraintDriftError(
+            "transport generator fails M^3 = -Omega^2 M; check the acceleration"
+        )
+    n = np.asarray(record_idx, dtype=float)
+    if omega2 == 0.0:
+        a, b = n * h, 0.5 * (n * h) ** 2
+    else:
+        y = h * np.sqrt(omega2)
+        theta = np.arctan2(y - y**3 / 6.0, 1.0 - y * y / 2.0 + y**4 / 24.0)
+        # r^2 = 1 - y^6/72 + y^8/576 exactly; re^2 + im^2 - 1 would cancel
+        n_log_r = n * (0.5 * np.log1p(-(y**6) / 72.0 + y**8 / 576.0))
+        rn = np.exp(n_log_r)
+        a = rn * np.sin(n * theta) / np.sqrt(omega2)
+        # 1 - r^n cos(n theta), written without cancellation at small n y
+        b = (2.0 * rn * np.sin(0.5 * n * theta) ** 2 - np.expm1(n_log_r)) / omega2
+    samples = s0 + a[:, None] * (m @ s0) + b[:, None] * (m2 @ s0)
+    gu = g_diag * u
+    max_ortho = max(abs(float(s0 @ gu)), float(np.max(np.abs(samples @ gu))))
+    drift = np.abs((samples * samples) @ g_diag - float(s0 @ (g_diag * s0)))
+    return samples, max_ortho, float(np.max(drift))

@@ -48,7 +48,7 @@ from .congruences import (
     tt_inverse,
     tt_map,
 )
-from .errors import DegenerateError, DomainError
+from .errors import ConstraintDriftError, DegenerateError, DomainError
 from .kinematics import omega_closed_form, vorticity_scalar
 from .tensors import Event
 from .transport import measure_precession_angle, precession_per_revolution
@@ -285,10 +285,14 @@ def cmd_precess(args) -> int:
     }
     if args.fw_check is None:
         return _emit_report(args, params, [row])
-    if args.fw_check < 16:
-        raise UsageError("--fw-check needs at least 16 steps")
+    if not 16 <= args.fw_check <= 2**53:
+        # above 2**53 step indices are no longer exact floats
+        raise UsageError("--fw-check needs 16 to 2**53 steps")
     spec = CongruenceSpec(args.kind, args.omega, args.c)
-    fw_angle = measure_precession_angle(spec, args.rho, args.fw_check)
+    try:
+        fw_angle = measure_precession_angle(spec, args.rho, args.fw_check)
+    except ConstraintDriftError as exc:
+        raise DomainError(f"{exc}; increase --fw-check") from exc
     header = CSV_HEADER + ",fw_measured,fw_deviation"
     names = ROW_FIELDS + ["fw_measured", "fw_deviation"]
     values = row.values() + [fw_angle, fw_angle - row.delta_phi_prime]
@@ -326,15 +330,22 @@ def cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _positive(text: str) -> float:
+def _finite(text: str) -> float:
     value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _positive(text: str) -> float:
+    value = _finite(text)
     if not value > 0.0:
         raise argparse.ArgumentTypeError(f"must be positive, got {text}")
     return value
 
 
 def _non_negative(text: str) -> float:
-    value = float(text)
+    value = _finite(text)
     if not value >= 0.0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
     return value
@@ -396,10 +407,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_transform.add_argument("--map", choices=("gal", "tt"), required=True)
     p_transform.add_argument("--direction", choices=("fwd", "inv"), default="fwd")
-    p_transform.add_argument("--t", type=float, default=0.0)
+    p_transform.add_argument("--t", type=_finite, default=0.0)
     p_transform.add_argument("--rho", type=_positive, required=True)
-    p_transform.add_argument("--phi", type=float, default=0.0)
-    p_transform.add_argument("--z", type=float, default=0.0)
+    p_transform.add_argument("--phi", type=_finite, default=0.0)
+    p_transform.add_argument("--z", type=_finite, default=0.0)
     p_transform.add_argument("--omega", type=_non_negative, required=True)
     p_transform.set_defaults(func=cmd_transform)
 

@@ -7,7 +7,8 @@ reduces to a linear, constant-coefficient system
     dS^a/dtau = M S,
     M^a_g = -Gamma^a_{bg} u^b + (a^a u_g - u^a a_g) / c^2,
 
-which the kernel integrates with fixed-step RK4. The generator is
+which fixed-step RK4 integrates; ``_kernels.fw_rk4`` evaluates the N-step
+RK4 map in closed form rather than stepping it. The generator is
 antisymmetric in the metric sense, so S.u and S.S are conserved exactly
 by the flow; their numerical drift measures integration error.
 
@@ -236,7 +237,7 @@ def fw_transport(
     if abs(float(s @ (g * wl.u))) > 1e-9 * scale:
         raise ConstraintDriftError("initial spin is not orthogonal to u")
 
-    m = np.ascontiguousarray(transport_generator(wl))
+    m = transport_generator(wl)
     h = tau_span / steps
     n_rec = min(int(n_samples), steps + 1)
     record_idx = np.unique(np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
@@ -244,7 +245,7 @@ def fw_transport(
     drift = max(raw_ortho / scale, raw_norm / s_norm2)
     if drift > DRIFT_LIMIT:
         raise ConstraintDriftError(
-            f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}; increase steps"
+            f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: too few steps"
         )
     return FwTrajectory(
         worldline=wl,

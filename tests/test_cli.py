@@ -208,6 +208,39 @@ class TestPrecess:
         assert fw == pytest.approx(float(rows[0]["delta_phi_prime"]), abs=1e-6)
         assert abs(float(rows[0]["fw_deviation"])) < 1e-6
 
+    def test_fw_check_drift_is_domain_error_exit(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["precess", "--kind", "tt", "--rho", "1", "--omega", "0.5",
+             "--fw-check", "20"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "Traceback" not in err
+        assert err.count("\n") == 1
+        assert err.rstrip("\n").endswith("increase --fw-check")
+
+    def test_fw_check_billion_steps(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["precess", "--kind", "gal", "--rho", "1", "--omega", "0.5",
+             "--fw-check", "1000000000"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = -2.0 * math.pi / float(rows[0]["dtau_dt"])
+        assert float(rows[0]["fw_measured"]) == pytest.approx(expected, abs=1e-9)
+
+    def test_fw_check_step_range_is_usage_error(self, capsys):
+        for steps in ("15", str(2**53 + 1), "10" * 20):
+            code, _, err = run(
+                capsys,
+                ["precess", "--kind", "gal", "--rho", "1", "--omega", "0.5",
+                 "--fw-check", steps],
+            )
+            assert code == 64, steps
+            assert "Traceback" not in err
+
 
 class TestCompare:
     def test_three_rows_with_expected_scalars(self, capsys):
@@ -289,6 +322,18 @@ class TestTransform:
         assert code == 0
         doc = json.loads(out)
         assert doc["rows"][0]["t"] == pytest.approx(math.cosh(1.0), rel=1e-15)
+
+    def test_non_finite_flags_are_usage_errors(self, capsys):
+        base = {"--map": "tt", "--rho": "1", "--omega": "1"}
+        for flag, value in (("--omega", "inf"), ("--rho", "inf"), ("--t", "nan"),
+                            ("--phi", "-inf"), ("--c", "inf")):
+            argv = ["transform"]
+            for k, v in {**base, flag: value}.items():
+                argv.append(f"{k}={v}")
+            code, out, err = run(capsys, argv)
+            assert code == 64, flag
+            assert out == ""
+            assert "must be finite" in err and "Traceback" not in err
 
 
 def test_no_command_is_usage_error(capsys):

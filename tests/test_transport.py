@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -79,67 +80,70 @@ class TestDyadAndGenerator:
         assert abs(float(wl.u @ (g * e_p))) < 1e-13
 
     def test_generator_is_metric_antisymmetric(self):
-        # g M must be antisymmetric so that S.S and S.u are conserved
-        wl = worldline(CongruenceSpec("tt", 0.9, 1.3), 1.1)
-        m = transport_generator(wl)
-        g = np.diag(metric_diag(wl.rho, wl.spec.c))
-        gm = g @ m
-        assert np.max(np.abs(gm + gm.T)) < 1e-13
+        # g M must be antisymmetric so that S.S and S.u are conserved, and
+        # M u = 0 makes M a rotation generator: M^3 = -Omega^2 M
+        for kind, omega, c, rho in (
+            ("tt", 0.9, 1.3, 1.1),
+            ("gal", 0.5, 1.0, 1.0),
+            ("gal", 0.999, 1.0, 1.0),
+            ("tt", 3.0, 1.0, 1.0),
+            ("tt", 1e-6, 1.0, 1e-3),
+        ):
+            wl = worldline(CongruenceSpec(kind, omega, c), rho)
+            m = transport_generator(wl)
+            g = np.diag(metric_diag(wl.rho, wl.spec.c))
+            gm = g @ m
+            assert np.max(np.abs(gm + gm.T)) < 1e-13
+            omega2 = -0.5 * np.trace(m @ m)
+            resid = np.linalg.norm(m @ m @ m + omega2 * m)
+            assert resid <= 1e-14 * np.linalg.norm(m) ** 3
 
 
 class TestKernels:
-    def test_numpy_and_numba_paths_agree(self):
-        if kernels.fw_rk4_numba is None:
-            pytest.skip("numba kernel not available")
-        wl = worldline(CongruenceSpec("gal", 0.5), 1.0)
-        m = np.ascontiguousarray(transport_generator(wl))
-        g = metric_diag(wl.rho, wl.spec.c)
-        e_r, _ = corotating_dyad(wl)
-        idx = np.unique(np.round(np.linspace(0, 4096, 65)).astype(np.int64))
-        h = proper_period(wl.spec, wl.rho) / 4096
-        out_np, ortho_np, norm_np = kernels.fw_rk4_numpy(m, e_r.copy(), h, idx, g, wl.u)
-        out_nb, ortho_nb, norm_nb = kernels.fw_rk4_numba(m, e_r.copy(), h, idx, g, wl.u)
-        np.testing.assert_allclose(out_np, out_nb, rtol=0.0, atol=1e-12)
-        assert ortho_np == pytest.approx(ortho_nb, abs=1e-13)
-        assert norm_np == pytest.approx(norm_nb, abs=1e-13)
-
-    def test_env_flag_disables_numba(self, tmp_path):
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        import rotframes
-
-        # The child gets a minimal environment, so it is told where the
-        # package under test lives; this also covers a source checkout
-        # run with PYTHONPATH=src and no install.
-        package_root = Path(rotframes.__file__).resolve().parents[1]
-        code = (
-            "import rotframes._kernels as k; "
-            "print(k.USING_NUMBA, k.fw_rk4 is k.fw_rk4_numpy)"
-        )
-        env_out = subprocess.run(
-            [sys.executable, "-c", code],
-            capture_output=True,
-            text=True,
-            env={
-                "PATH": "/usr/bin:/bin",
-                "PYTHONPATH": str(package_root),
-                "ROTFRAMES_DISABLE_NUMBA": "1",
-            },
-        )
-        assert env_out.stdout.strip() == "False True", env_out.stderr
-
     def test_fw_step_matches_kernel_single_step(self):
         wl = worldline(CongruenceSpec("gal", 0.3), 1.0)
         m = transport_generator(wl)
         g = metric_diag(wl.rho, wl.spec.c)
         e_r, _ = corotating_dyad(wl)
         idx = np.array([0, 1], dtype=np.int64)
-        out, _, _ = kernels.fw_rk4_numpy(m, e_r.copy(), 0.01, idx, g, wl.u)
+        out, _, _ = kernels.fw_rk4(m, e_r.copy(), 0.01, idx, g, wl.u)
         np.testing.assert_allclose(
             out[1], fw_step(m, e_r.copy(), 0.01), rtol=1e-15, atol=0.0
         )
+
+    @pytest.mark.parametrize(
+        "kind,omega", [("gal", 0.5), ("tt", 1.0), ("gal", 1e-6), ("tt", 0.0)]
+    )
+    def test_closed_form_matches_chained_steps(self, kind, omega):
+        # the closed-form power of the RK4 map against N explicit steps
+        wl = worldline(CongruenceSpec(kind, omega), 1.0)
+        m = transport_generator(wl)
+        g = metric_diag(wl.rho, wl.spec.c)
+        e_r, e_p = corotating_dyad(wl)
+        s0 = e_r + 0.3 * e_p
+        h = (proper_period(wl.spec, 1.0) if omega > 0.0 else 10.0) / 1000
+        chain = [s0]
+        for _ in range(4096):
+            chain.append(fw_step(m, chain[-1], h))
+        chain = np.array(chain)
+        for n in (1, 17, 1000, 4096):
+            idx = np.arange(n + 1, dtype=np.int64)
+            out, _, _ = kernels.fw_rk4(m, s0, h, idx, g, wl.u)
+            err = np.linalg.norm(out - chain[: n + 1], axis=1).max()
+            assert err <= 1e-13 * np.linalg.norm(s0)
+
+    def test_wrong_acceleration_is_rejected(self):
+        # hand-built worldlines whose a does not fit the orbit: a boost-
+        # dominated generator breaks the closed form's identity, a milder
+        # one keeps it but moves S off u
+        wl = worldline(CongruenceSpec("gal", 0.5), 1.0)
+        g = metric_diag(wl.rho, wl.spec.c)
+        e_r, _ = corotating_dyad(wl)
+        m = transport_generator(replace(wl, a=4.0 * wl.a))
+        with pytest.raises(ConstraintDriftError, match="M\\^3"):
+            kernels.fw_rk4(m, e_r, 0.01, np.arange(3), g, wl.u)
+        with pytest.raises(ConstraintDriftError, match="drift"):
+            fw_transport(replace(wl, a=0.5 * wl.a), e_r, 1.0, 1000)
 
 
 class TestTransport:
