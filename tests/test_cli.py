@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from rotframes import cli
 from rotframes.cli import CSV_HEADER, main
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, argv):
@@ -347,3 +353,143 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     path = tmp_path / "cmp.csv"
     assert main(argv + ["--out", str(path)]) == 0
     assert path.read_text(encoding="utf-8") == out
+
+
+class TestBatchedSweep:
+    # tests/data/omega_criterion8.csv is this sweep's output from the
+    # row-by-row implementation that preceded the batched one
+    GOLDEN_ARGV = [
+        "omega", "--kind", "gal,tt,mtt", "--omega", "0.5",
+        "--rho-min", "0.1", "--rho-max", "1.8", "--steps", "20",
+    ]
+    EXACT = ("kind", "rho", "lambda", "omega_closed", "v", "dtau_dt",
+             "delta_phi_prime", "thomas_net", "status")
+
+    def test_matches_row_by_row_golden(self, capsys):
+        code, out, _ = run(capsys, self.GOLDEN_ARGV)
+        assert code == 0
+        golden = (DATA / "omega_criterion8.csv").read_text(encoding="utf-8")
+        header, rows = parse_csv(out)
+        gold_header, gold_rows = parse_csv(golden)
+        assert header == gold_header
+        assert len(rows) == len(gold_rows) == 60
+        for row, gold in zip(rows, gold_rows):
+            for name in self.EXACT:
+                assert row[name] == gold[name], (name, gold["kind"], gold["rho"])
+            num, gold_num = float(row["omega_numeric"]), float(gold["omega_numeric"])
+            assert abs(num - gold_num) <= 1e-12 * abs(gold_num)
+            # rel_err is already relative: compare it absolutely
+            assert abs(float(row["rel_err"]) - float(gold["rel_err"])) <= 1e-12
+
+    def test_sweep_row_equals_compare_row(self, capsys):
+        argv = ["omega", "--omega", "0.45", "--rho-min", "0.05", "--rho-max", "2.5",
+                "--steps", "9"]
+        _, out, _ = run(capsys, argv)
+        sweep = out.strip().split("\n")[1:]
+        rhos = [line.split(",")[1] for line in sweep[:9]]
+        for i, rho in enumerate(rhos):
+            _, out, _ = run(capsys, ["compare", "--rho", rho, "--omega", "0.45"])
+            assert out.strip().split("\n")[1:] == sweep[i::9]
+
+    def test_stencil_rows_near_light_cylinder_are_marked(self, capsys):
+        # the last radius is inside the cylinder (c / omega = 2) but its
+        # stencil is not; the first one's stencil crosses the axis
+        code, out, err = run(
+            capsys,
+            ["omega", "--kind", "gal", "--omega", "0.5", "--rho-min", "0.00005",
+             "--rho-max", "1.99995", "--steps", "5"],
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        statuses = [r["status"] for r in rows]
+        assert statuses == ["domain_error", "ok", "ok", "ok", "domain_error"]
+
+    def test_perturbation_read_once_per_command(self, capsys, monkeypatch):
+        calls = []
+        real = os.environ.get
+
+        def spy(key, default=None):
+            if key == "ROTFRAMES_SELF_CHECK_PERTURB":
+                calls.append(key)
+            return real(key, default)
+
+        monkeypatch.setattr(cli.os.environ, "get", spy)
+        run(capsys, self.GOLDEN_ARGV)
+        run(capsys, ["compare", "--rho", "1", "--omega", "0.5"])
+        assert len(calls) == 2
+
+
+class TestOverflow:
+    # rapidity rho * omega / c: sinh cosh leaves the float range above 355,
+    # cosh itself above 710
+    @pytest.mark.parametrize("rho", ["400", "800"])
+    def test_compare_marks_tt_rows(self, capsys, rho):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["compare", "--rho", rho, "--omega", "1"])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == [
+            "light_cylinder", "domain_error", "domain_error",
+        ]
+
+    @pytest.mark.parametrize("rho", ["400", "800"])
+    @pytest.mark.parametrize("kind", ["tt", "mtt"])
+    def test_precess_is_domain_error_exit(self, capsys, rho, kind):
+        code, out, err = run(
+            capsys, ["precess", "--kind", kind, "--rho", rho, "--omega", "1"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_sweep_marks_rows_past_the_float_range(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys,
+                ["omega", "--kind", "tt", "--rho-min", "1", "--rho-max", "800",
+                 "--steps", "5", "--omega", "1", "--self-check"],
+            )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        # rapidity 1, 200.75, 400.5, 600.25, 800
+        assert [r["status"] for r in rows] == ["ok", "ok"] + ["domain_error"] * 3
+        assert all(math.isfinite(float(r["omega_numeric"])) for r in rows[:2])
+        assert float(rows[1]["rel_err"]) < 1e-6
+
+    @pytest.mark.parametrize("rho, omega, hint", [
+        ("1", "14", "increase --fw-check"),  # RK4 unstable: samples overflow
+        ("305", "1", "float range"),  # the generator itself overflows
+    ])
+    def test_fw_check_overflow_is_domain_error_exit(self, capsys, rho, omega, hint):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, ["precess", "--kind", "tt", "--rho", rho, "--omega", omega,
+                         "--fw-check", "1649"],
+            )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and err.rstrip("\n").endswith(hint)
+
+    def test_transform_is_domain_error_exit(self, capsys):
+        code, out, err = run(
+            capsys, ["transform", "--map", "tt", "--t", "1", "--rho", "800",
+                     "--omega", "1"],
+        )
+        assert code == 3 and out == ""
+        assert "overflow" in err and "Traceback" not in err
+
+
+def test_csv_rows_match_per_value_formatting():
+    from rotframes.cli import _render_csv
+
+    values = [0.1, -0.0, 1e-300, 5e-324, 1.7976931348623157e308, math.nan,
+              math.inf, -math.inf, 2.0 / 3.0, np.float64(1.25)]
+    rows = [["gal"] + values + ["ok"], ["tt"] + values[::-1] + ["light_cylinder"]]
+    expected = ["a,b"] + [
+        ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row)
+        for row in rows
+    ]
+    assert _render_csv("a,b", rows) == "\n".join(expected) + "\n"
+    assert _render_csv("a,b", []) == "a,b\n"

@@ -147,6 +147,29 @@ class TestFourVelocity:
             norm = dot(u, u, metric_at(e, c))
             assert norm == pytest.approx(c * c, rel=1e-12)
 
+    def test_rows_equal_single_events_bitwise(self):
+        from rotframes.congruences import _u_components, _u_rows
+
+        rng = np.random.default_rng(43)
+        coords = np.column_stack([rng.normal(size=200), rng.uniform(0.01, 40.0, 200),
+                                  rng.normal(size=200), rng.normal(size=200)])
+        for kind, omega in (("gal", 0.02), ("tt", 0.7), ("mtt", 3.0), ("tt", 0.0)):
+            spec = CongruenceSpec(kind, omega, 0.9)
+            rows = _u_rows(coords, spec)
+            single = [_u_components(Event(*c), spec) for c in coords.tolist()]
+            assert np.array_equal(rows, np.array(single))
+
+    def test_rows_raise_for_any_bad_row(self):
+        from rotframes.congruences import _u_rows
+
+        coords = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 900.0, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="overflow"):
+            _u_rows(coords, CongruenceSpec("tt", 1.0))
+        with pytest.raises(LightCylinderError):
+            _u_rows(coords, CongruenceSpec("gal", 0.01))
+        with pytest.raises(DomainError):
+            _u_rows(-coords, CongruenceSpec("tt", 1.0))
+
     def test_light_cylinder_boundary_is_inclusive(self):
         spec = CongruenceSpec("gal", 1.0)
         four_velocity(Event(0.0, 0.999999, 0.0), spec)

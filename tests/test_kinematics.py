@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,7 +18,9 @@ from rotframes import (
     metric_at,
     omega_closed_form,
     partial_derivatives_u,
+    proper_time_rate,
     vorticity_scalar,
+    vorticity_scalars,
     vorticity_tensor,
     vorticity_vector_direct,
     vorticity_vector_from_tensor,
@@ -344,3 +347,121 @@ class TestKinematicSample:
         assert s.vorticity_scalar == pytest.approx(
             omega_closed_form(1.0, spec), rel=1e-8
         )
+
+
+def _events(seed, count, kinds=("gal", "tt", "mtt")):
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        kind = kinds[rng.integers(len(kinds))]
+        c = rng.uniform(0.6, 2.0)
+        rho = rng.uniform(0.2, 3.0)
+        omega = rng.uniform(0.05, 0.9) * (c / rho if kind == "gal" else 1.0)
+        yield CongruenceSpec(kind, omega, c), Event(rng.normal(), rho, rng.normal())
+
+
+def _user(spec):
+    return VelocityField(lambda e: four_velocity(e, spec).components, spec.c)
+
+
+class TestOneJacobian:
+    def test_user_field_called_17_times_per_sample(self):
+        calls = []
+        spec = CongruenceSpec("tt", 0.7)
+
+        def u_fn(e):
+            calls.append(e)
+            return four_velocity(e, spec).components
+
+        kinematic_sample(VelocityField(u_fn), Event(0.3, 1.1, -0.2))
+        assert len(calls) == 17
+        calls.clear()
+        kinematic_sample(VelocityField(u_fn), Event(0.3, 1.1, -0.2),
+                         DerivativeConfig(method="central"))
+        assert len(calls) == 9
+
+    def test_sample_matches_the_single_quantity_functions(self):
+        for i, (spec, e) in enumerate(_events(29, 40)):
+            field = _user(spec) if i % 2 else spec
+            s = kinematic_sample(field, e)
+            for got, ref in (
+                (s.u_dot.components, acceleration(field, e).components),
+                (s.vorticity_tensor, vorticity_tensor(field, e)),
+                (s.vorticity_vector.components,
+                 vorticity_vector_direct(field, e).components),
+            ):
+                np.testing.assert_allclose(got, ref, rtol=0.0,
+                                           atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+            assert s.vorticity_scalar == pytest.approx(vorticity_scalar(field, e),
+                                                       rel=1e-12)
+
+    @pytest.mark.parametrize("method", ["central", "extrapolated"])
+    def test_product_rule_matches_differencing_u_up(self, method):
+        # reference: difference the contravariant field itself
+        from rotframes.kinematics import (
+            _at,
+            _contravariant_jacobian,
+            _fd_matrix,
+            _field_rows,
+        )
+
+        cfg = DerivativeConfig(method=method)
+        for spec, e in _events(31, 30):
+            jet = _at(spec, e, cfg)
+            u_rows, _ = _field_rows(spec)
+            x = e.coords()[None, :]
+            ref, _ = _fd_matrix(u_rows, x, cfg.resolve_step(x[:, 1]),
+                                method == "extrapolated")
+            ref = ref[0]
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            tol = 1e-6 if method == "central" else 1e-9
+            np.testing.assert_allclose(_contravariant_jacobian(jet)[0], ref,
+                                       rtol=0.0, atol=tol * scale)
+
+    def test_batch_rows_equal_single_events_bitwise(self):
+        for kind in ("gal", "tt", "mtt"):
+            spec = CongruenceSpec(kind, 0.45, 1.1)
+            rng = np.random.default_rng(41)
+            coords = np.column_stack([
+                rng.normal(size=25), rng.uniform(0.05, 2.4, 25),
+                rng.normal(size=25), rng.normal(size=25),
+            ])
+            for field in (spec, _user(spec)):
+                batch = vorticity_scalars(field, coords)
+                single = [vorticity_scalar(field, Event(*r)) for r in coords.tolist()]
+                assert batch.tolist() == single
+
+    def test_batch_raises_for_any_bad_row(self):
+        spec = CongruenceSpec("gal", 0.5)
+        with pytest.raises(DomainError, match="light cylinder"):
+            vorticity_scalars(spec, [[0.0, 1.0, 0.0, 0.0], [0.0, 1.99995, 0.0, 0.0]])
+        with pytest.raises(DomainError, match="chart"):
+            vorticity_scalars(spec, [[0.0, 1e-5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        assert vorticity_scalars(spec, np.zeros((0, 4))).shape == (0,)
+
+
+class TestOverflow:
+    @pytest.mark.parametrize("lam", [400.0, 800.0])
+    def test_domain_error_without_warnings(self, lam):
+        spec = CongruenceSpec("tt", 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                omega_closed_form(lam, spec)
+            with pytest.raises(DomainError):
+                vorticity_scalar(spec, Event(0.0, lam, 0.0))
+            with pytest.raises(DomainError):
+                kinematic_sample(spec, Event(0.0, lam, 0.0))
+            if lam > 710.0:
+                with pytest.raises(DomainError):
+                    four_velocity(Event(0.0, lam, 0.0), spec)
+                with pytest.raises(DomainError):
+                    proper_time_rate(lam, spec)
+            else:
+                assert proper_time_rate(lam, spec) > 0.0
+
+    def test_scalar_holds_until_the_closed_form_overflows(self):
+        # w.w would overflow from rapidity ~177; the norm is scaled exactly
+        spec = CongruenceSpec("tt", 1.0)
+        for lam in (150.0, 250.0, 350.0):
+            num = vorticity_scalar(spec, Event(0.0, lam, 0.0))
+            assert num == pytest.approx(omega_closed_form(lam, spec), rel=1e-7)

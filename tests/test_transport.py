@@ -203,6 +203,24 @@ class TestTransport:
             e_r, _ = corotating_dyad(wl)
             fw_transport(wl, e_r, 1.0, steps=8)
 
+    def test_overflowed_samples_fail_the_drift_gate(self):
+        # h Omega far past RK4's stability bound: the samples overflow to nan
+        spec = CongruenceSpec("tt", 14.0)
+        wl = worldline(spec, 1.0)
+        e_r, _ = corotating_dyad(wl)
+        with pytest.raises(ConstraintDriftError, match="nan"):
+            fw_transport(wl, e_r, proper_period(spec, 1.0), steps=1649)
+
+    def test_step_count_must_be_an_exact_integer(self):
+        wl = worldline(CongruenceSpec("gal", 0.5), 1.0)
+        e_r, _ = corotating_dyad(wl)
+        for steps in (2**70, 2**53 + 1, 1000.0, 1e20, True):
+            with pytest.raises(ValueError, match="steps"):
+                fw_transport(wl, e_r, 1.0, steps)
+        for steps in (2**53, np.int64(4096)):
+            traj = fw_transport(wl, e_r, 1.0, steps, n_samples=3)
+            assert traj.taus[-1] == pytest.approx(1.0, rel=1e-15)
+
     def test_trajectory_states_carry_events(self):
         spec = CongruenceSpec("tt", 0.5)
         wl = worldline(spec, 1.0)
