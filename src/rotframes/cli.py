@@ -21,6 +21,11 @@ exactly (non-finite values become null).
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6),
 3 domain error (one-line diagnostic, no traceback), 64 usage error.
 
+Negative flag values may be written in exponent form (--t -1e-05), not
+only as plain decimals. The argument parser is built once per process, on
+the first main() call, and reused by every later call; build_parser()
+always returns a fresh one.
+
 The environment variable ROTFRAMES_SELF_CHECK_PERTURB, when set to a
 float x, multiplies every numerically computed vorticity by (1 + x).
 It exists to fault-inject the --self-check gate in tests.
@@ -32,6 +37,7 @@ import argparse
 import json
 import math
 import os
+import re
 import sys
 from dataclasses import dataclass
 
@@ -53,7 +59,7 @@ from .errors import ConstraintDriftError, DegenerateError, DomainError
 from .kinematics import (
     DerivativeConfig,
     _stencil_fits,
-    omega_closed_form,
+    omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
     vorticity_scalar,
     vorticity_scalars,
 )
@@ -81,8 +87,17 @@ class UsageError(Exception):
     """Invalid flag combination detected after parsing."""
 
 
+# argparse reads "-1e-05" as an option because its pattern has no exponent
+_NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+
+
 class _Parser(argparse.ArgumentParser):
-    """argparse parser that exits with the usage code on bad flags."""
+    """argparse parser that exits with the usage code on bad flags and
+    takes negative numbers in exponent form as values."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -139,9 +154,8 @@ def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
 
 def _closed_columns(spec: CongruenceSpec, rho: float) -> tuple:
     """(omega_closed, v, dtau_dt, delta_phi_prime, thomas_net) at one radius."""
-    closed = omega_closed_form(rho, spec)
     report = precession_per_revolution(spec, rho)
-    return (closed, fixed_point_speed(rho, spec), proper_time_rate(rho, spec),
+    return (report.vorticity, fixed_point_speed(rho, spec), proper_time_rate(rho, spec),
             report.delta_phi, report.net_angle)
 
 
@@ -468,10 +482,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser: argparse.ArgumentParser | None = None  # filled by the first main() call
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

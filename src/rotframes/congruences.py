@@ -209,4 +209,10 @@ def revolution_period(rho: float, spec: CongruenceSpec) -> float:
     if spec.kind == GAL:
         _check_inside_light_cylinder(rho, spec)
         return 2.0 * math.pi / spec.omega
-    return 2.0 * math.pi * rho / (spec.c * math.tanh(rapidity(rho, spec)))
+    speed = spec.c * math.tanh(rapidity(rho, spec))
+    if speed == 0.0:
+        raise DomainError(
+            f"rho * omega / c underflows the float range at rho = {rho}, "
+            f"omega = {spec.omega}, c = {spec.c}"
+        )
+    return 2.0 * math.pi * rho / speed

@@ -1,12 +1,15 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotframes
 from rotframes import cli
 from rotframes.cli import CSV_HEADER, main
 
@@ -472,6 +475,20 @@ class TestOverflow:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and err.rstrip("\n").endswith(hint)
 
+    def test_underflowed_rapidity_marks_rows(self, capsys):
+        # rho * omega / c is 0 in floats: the tt period divided by tanh(0)
+        code, out, err = run(
+            capsys, ["compare", "--rho", "1e-300", "--omega", "1e-300"]
+        )
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["domain_error"] * 3
+        code, out, err = run(
+            capsys, ["precess", "--kind", "tt", "--rho", "1e-300", "--omega", "1e-30"]
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_transform_is_domain_error_exit(self, capsys):
         code, out, err = run(
             capsys, ["transform", "--map", "tt", "--t", "1", "--rho", "800",
@@ -493,3 +510,190 @@ def test_csv_rows_match_per_value_formatting():
     ]
     assert _render_csv("a,b", rows) == "\n".join(expected) + "\n"
     assert _render_csv("a,b", []) == "a,b\n"
+
+
+class TestNegativeExponent:
+    # argparse's own negative-number pattern has no exponent, so "-1e-05"
+    # used to be read as an option
+    @pytest.mark.parametrize("flags", [
+        [("--t", "-1e-05")],
+        [("--t", "-1E+2"), ("--phi", "-.5e-3")],
+        [("--t", "-2."), ("--z", "-3e0")],
+    ])
+    def test_space_form_matches_equals_form(self, capsys, flags):
+        base = ["transform", "--map", "gal", "--rho", "1", "--omega", "0.5"]
+        spaced = base + [part for flag in flags for part in flag]
+        joined = base + [f"{flag}={value}" for flag, value in flags]
+        code, out, err = run(capsys, spaced)
+        assert code == 0 and err == ""
+        assert (code, out, err) == run(capsys, joined)
+
+    def test_negative_exponent_still_checks_the_domain(self, capsys):
+        code, out, err = run(
+            capsys, ["transform", "--map", "gal", "--rho", "-1e-05", "--omega", "0.5"]
+        )
+        assert code == 64 and out == ""
+        assert "must be positive" in err
+
+    def test_negative_infinity_is_still_an_option(self, capsys):
+        code, out, err = run(
+            capsys, ["transform", "--map", "gal", "--t", "-inf", "--rho", "1",
+                     "--omega", "0.5"]
+        )
+        assert code == 64 and out == ""
+        assert "expected one argument" in err
+
+
+def _fresh_interpreter(argv, cwd):
+    """(exit code, stdout, stderr) of argv run first in a new interpreter."""
+    env = {
+        "PATH": os.environ.get("PATH", ""),
+        "PYTHONPATH": str(Path(rotframes.__file__).resolve().parents[1]),
+        "COLUMNS": "80",
+    }
+    proc = subprocess.run([sys.executable, "-m", "rotframes", *argv], cwd=cwd,
+                          env=env, capture_output=True, text=True)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+class TestParserReuse:
+    def test_main_builds_the_parser_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting_build():
+            built.append(real_build())
+            return built[-1]
+
+        real_build = cli.build_parser
+        monkeypatch.setattr(cli, "_parser", None)
+        monkeypatch.setattr(cli, "build_parser", counting_build)
+        for argv in (["compare", "--rho", "1", "--omega", "0.5"], ["omega", "--bogus"],
+                     ["transform", "--map", "tt", "--rho", "1", "--omega", "1"]):
+            run(capsys, argv)
+        assert len(built) == 1
+        assert cli._parser is built[0]
+        assert real_build() is not real_build()
+
+    def test_outputs_match_a_fresh_interpreter(self, capsys, monkeypatch, tmp_path):
+        # usage text wraps at the terminal width: pin it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        every_flag = ["precess", "--kind", "gal", "--rho", "1", "--omega", "0.5",
+                      "--c", "2", "--fw-check", "1000", "--format", "json",
+                      "--out", "out.json", "--self-check"]
+        calls = [
+            every_flag,
+            ["omega", "--bogus"],
+            ["precess", "--kind", "gal", "--rho", "1", "--omega", "0.5"],
+            ["compare", "--rho", "1", "--omega", "0.5"],
+            ["transform", "--map", "tt", "--t", "1", "--rho", "1", "--omega", "1"],
+        ]
+        monkeypatch.chdir(tmp_path)
+        # the in-process sequence runs after whatever this process ran before
+        in_process = [run(capsys, argv) for argv in calls]
+        written = (tmp_path / "out.json").read_text(encoding="utf-8")
+        fresh_dir = tmp_path / "fresh"
+        fresh_dir.mkdir()
+        for argv, got in zip(calls, in_process):
+            assert got == _fresh_interpreter(argv, fresh_dir), argv
+        assert written == (fresh_dir / "out.json").read_text(encoding="utf-8")
+        # the defaults came back: CSV on stdout, no fw_ columns
+        code, out, _ = in_process[2]
+        assert code == 0 and out.split("\n", 1)[0] == CSV_HEADER
+        assert in_process[1][0] == 64
+
+
+class TestFuzz:
+    """Seeded draws of argv inside and outside the domain, all in one process."""
+
+    SEED = 20061
+    DRAWS = 300
+    # values that parse but sit at a domain edge: tiny rho, the gal light
+    # cylinder at rho omega = c = 1, rapidity past 355 and 710, the float range
+    EDGES = ["1e-6", "1e-300", "1.99", "2", "400", "800", "1000", "1e308"]
+    # values every flag that takes them rejects
+    INVALID = ["0", "-0", "-1", "-1e-05", "inf", "-inf", "nan", "abc", ""]
+    # (valid, invalid) choices of the flags that take no real number
+    STEPS = (["2", "3", "5"], ["1", "0", "-2", "2.5", "x"])
+    FW_STEPS = (["16", "17", "64", "300", "1000", "100000"],
+                ["8", "15", str(2**53 + 1), "-16", "1e3"])
+    KINDS = (["gal", "tt", "mtt"], ["warp", "", ","])
+    SWEEP_KINDS = (["gal", "tt", "mtt", "gal,tt,mtt", "tt,gal"], ["warp", "", ","])
+    MAPS = (["gal", "tt"], ["mtt"])
+    DIRECTIONS = (["fwd", "inv"], ["up"])
+
+    def _real(self, rng, signed=False):
+        u = rng.random()
+        if u < 0.08:
+            return str(rng.choice(self.INVALID))
+        if u < 0.3:
+            return str(rng.choice(self.EDGES))
+        value = rng.lognormal(0.0, 1.5) * (rng.choice([-1, 1]) if signed else 1)
+        return f"{value:.6g}"
+
+    def _range(self, rng):
+        lo, hi = self._real(rng), self._real(rng)
+        try:
+            if float(lo) > float(hi) and rng.random() < 0.9:
+                return hi, lo
+        except ValueError:
+            pass
+        return lo, hi
+
+    @staticmethod
+    def _pick(rng, choices, p_valid=0.9):
+        valid, invalid = choices
+        return str(rng.choice(valid if rng.random() < p_valid else invalid))
+
+    def _argv(self, rng):
+        command = str(rng.choice(["omega", "precess", "compare", "transform"]))
+        flags = {"--c": self._real(rng) if rng.random() < 0.3 else None}
+        if command == "omega":
+            lo, hi = self._range(rng)
+            flags.update({"--kind": self._pick(rng, self.SWEEP_KINDS),
+                          "--rho-min": lo, "--rho-max": hi,
+                          "--steps": self._pick(rng, self.STEPS),
+                          "--omega": self._real(rng)})
+        elif command == "precess":
+            flags.update({"--kind": self._pick(rng, self.KINDS),
+                          "--rho": self._real(rng), "--omega": self._real(rng),
+                          "--fw-check": (self._pick(rng, self.FW_STEPS, 0.6)
+                                         if rng.random() < 0.4 else None)})
+        elif command == "compare":
+            flags.update({"--rho": self._real(rng), "--omega": self._real(rng)})
+        else:
+            flags.update({"--map": self._pick(rng, self.MAPS),
+                          "--direction": self._pick(rng, self.DIRECTIONS),
+                          "--t": self._real(rng, signed=True),
+                          "--rho": self._real(rng),
+                          "--phi": self._real(rng, signed=True),
+                          "--z": self._real(rng, signed=True),
+                          "--omega": self._real(rng)})
+        argv = [command]
+        for flag, value in flags.items():
+            if value is None or rng.random() < 0.02:  # a missing required flag
+                continue
+            if rng.random() < 0.5:
+                argv.append(f"{flag}={value}")
+            else:
+                argv += [flag, value]
+        for extra, p in ((["--format", "json"], 0.2), (["--format", "xml"], 0.02),
+                         (["--self-check"], 0.3), (["--bogus"], 0.02)):
+            if rng.random() < p:
+                argv += extra
+        return argv
+
+    def test_every_draw_ends_in_a_documented_exit(self, capsys):
+        rng = np.random.default_rng(self.SEED)
+        codes = set()
+        for _ in range(self.DRAWS):
+            argv = self._argv(rng)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, argv)
+            assert code in (0, 2, 3, 64), argv
+            assert "Traceback" not in err, argv
+            if code in (3, 64):
+                assert out == "", argv
+            codes.add(code)
+        # this seed reaches every documented exit
+        assert codes == {0, 2, 3, 64}

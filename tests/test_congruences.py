@@ -240,6 +240,12 @@ class TestSpeedAndTiming:
         with pytest.raises(DegenerateError):
             revolution_period(1.0, CongruenceSpec("gal", 0.0))
 
+    def test_tt_period_is_domain_error_when_rapidity_underflows(self):
+        spec = CongruenceSpec("tt", 1e-300)
+        assert rapidity(1e-300, spec) == 0.0
+        with pytest.raises(DomainError, match="underflows"):
+            revolution_period(1e-300, spec)
+
     def test_gal_and_tt_periods_agree_in_slow_limit(self):
         # tanh(lam)/lam = 1 - lam^2/3 + O(lam^4)
         rho = 1.0
