@@ -14,7 +14,12 @@ stdout), --c VALUE (default 1), --self-check.
 CSV output is deterministic: fixed column order, floats printed with 17
 significant digits, LF line endings, no timestamps. Rows at or beyond the
 gal light cylinder are emitted with status "light_cylinder" and NaN /
-null numerics rather than dropped. JSON output is an object
+null numerics rather than dropped. A row whose closed-form columns raise
+DomainError (off the domain, or out of the float range), or whose
+numeric scalar kinematics gives as nan (difference stencil off the chart
+or across the light cylinder, or a value out of the float range), is
+emitted the same way with status "domain_error". precess turns either
+mark into exit 3. JSON output is an object
 {"params": ..., "rows": [...], "version": ...} whose floats round-trip
 exactly (non-finite values become null).
 
@@ -57,11 +62,9 @@ from .congruences import (
 )
 from .errors import ConstraintDriftError, DegenerateError, DomainError
 from .kinematics import (
-    DerivativeConfig,
-    _stencil_fits,
+    _scalar_rows,
     omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
-    vorticity_scalar,
-    vorticity_scalars,
+    vorticity_scalar,  # noqa: F401  rfbench/layers.py traces it here
 )
 from .tensors import Event
 from .transport import measure_precession_angle, precession_per_revolution
@@ -159,38 +162,15 @@ def _closed_columns(spec: CongruenceSpec, rho: float) -> tuple:
             report.delta_phi, report.net_angle)
 
 
-def _numeric_scalars(spec: CongruenceSpec, rho: np.ndarray) -> list[float]:
-    """Difference-pipeline scalars at the radii, in one batch.
-
-    nan marks a radius whose stencil leaves the chart or crosses the light
-    cylinder, or whose evaluation overflows.
-    """
-    coords = np.zeros((len(rho), 4))
-    coords[:, 1] = rho
-    try:
-        return vorticity_scalars(spec, coords).tolist()
-    except DomainError:
-        pass  # some row cannot be differenced: batch the rows that can
-    fits = _stencil_fits(spec, rho, DerivativeConfig().resolve_step(rho))
-    out = np.full(len(rho), _NAN)
-    try:
-        out[fits] = vorticity_scalars(spec, coords[fits])
-    except DomainError:
-        # a value out of the float range: find its row one at a time
-        for i in np.flatnonzero(fits):
-            try:
-                out[i] = vorticity_scalar(spec, Event(0.0, float(rho[i]), 0.0))
-            except DomainError:
-                pass
-    return out.tolist()
-
-
 def compute_rows(kind: str, rhos, omega: float, c: float,
                  perturb: float = 0.0) -> list[ReportRow]:
     """Evaluate grid points of one kind; domain failures become marked rows.
 
-    Closed-form columns are computed per row; the numeric scalar comes
-    from one batched vorticity_scalars call, multiplied by (1 + perturb).
+    Closed-form columns are computed per row; a row whose closed form
+    raises DomainError is marked domain_error. The numeric scalar comes
+    from one kinematics._scalar_rows call over the other rows, multiplied
+    by (1 + perturb); a row it gives as nan (stencil does not fit, value
+    not finite) is marked domain_error too.
     """
     spec = CongruenceSpec(kind, omega, c)
     rows, pending = [], []
@@ -206,8 +186,9 @@ def compute_rows(kind: str, rhos, omega: float, c: float,
             continue
         pending.append((len(rows), rho, lam, closed))
         rows.append(None)
-    radii = np.array([p[1] for p in pending])
-    scalars = _numeric_scalars(spec, radii) if pending else []
+    coords = np.zeros((len(pending), 4))
+    coords[:, 1] = [p[1] for p in pending]
+    scalars = _scalar_rows(spec, coords).tolist()
     for (i, rho, lam, closed), scalar in zip(pending, scalars):
         if math.isnan(scalar):
             rows[i] = _marked_row(kind, rho, lam, "domain_error")
@@ -244,7 +225,12 @@ def _render_json(params: dict, field_names: list[str], rows: list[list]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, text: str) -> None:
+def _emit(args, params: dict, field_names: list[str], rows: list[list]) -> None:
+    """Write the rows as CSV or JSON (--format) to --out or stdout."""
+    if args.format == "json":
+        text = _render_json(params, field_names, rows)
+    else:
+        text = _render_csv(",".join(field_names), rows)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -266,14 +252,8 @@ def _gate(args, rows: list[ReportRow]) -> int:
     return EXIT_OK
 
 
-def _emit_report(args, params: dict, rows: list[ReportRow], header: str = CSV_HEADER,
-                 field_names: list[str] | None = None) -> int:
-    names = field_names or ROW_FIELDS
-    values = [r.values() for r in rows]
-    if args.format == "json":
-        _emit(args, _render_json(params, names, values))
-    else:
-        _emit(args, _render_csv(header, values))
+def _emit_report(args, params: dict, rows: list[ReportRow]) -> int:
+    _emit(args, params, ROW_FIELDS, [r.values() for r in rows])
     return _gate(args, rows)
 
 
@@ -348,23 +328,19 @@ def cmd_precess(args) -> int:
         "format": args.format,
         "fw_check": args.fw_check,
     }
-    if args.fw_check is None:
-        return _emit_report(args, params, [row])
-    if not 16 <= args.fw_check <= 2**53:
-        # above 2**53 step indices are no longer exact floats
-        raise UsageError("--fw-check needs 16 to 2**53 steps")
-    spec = CongruenceSpec(args.kind, args.omega, args.c)
-    try:
-        fw_angle = measure_precession_angle(spec, args.rho, args.fw_check)
-    except ConstraintDriftError as exc:
-        raise DomainError(f"{exc}; increase --fw-check") from exc
-    header = CSV_HEADER + ",fw_measured,fw_deviation"
-    names = ROW_FIELDS + ["fw_measured", "fw_deviation"]
-    values = row.values() + [fw_angle, fw_angle - row.delta_phi_prime]
-    if args.format == "json":
-        _emit(args, _render_json(params, names, [values]))
-    else:
-        _emit(args, _render_csv(header, [values]))
+    names, values = ROW_FIELDS, row.values()
+    if args.fw_check is not None:
+        if not 16 <= args.fw_check <= 2**53:
+            # above 2**53 step indices are no longer exact floats
+            raise UsageError("--fw-check needs 16 to 2**53 steps")
+        spec = CongruenceSpec(args.kind, args.omega, args.c)
+        try:
+            fw_angle = measure_precession_angle(spec, args.rho, args.fw_check)
+        except ConstraintDriftError as exc:
+            raise DomainError(f"{exc}; increase --fw-check") from exc
+        names = ROW_FIELDS + ["fw_measured", "fw_deviation"]
+        values = values + [fw_angle, fw_angle - row.delta_phi_prime]
+    _emit(args, params, names, [values])
     return _gate(args, [row])
 
 
@@ -386,12 +362,7 @@ def cmd_transform(args) -> int:
         "c": args.c,
         "format": args.format,
     }
-    names = ["t", "rho", "phi", "z"]
-    values = [[out.t, out.rho, out.phi, out.z]]
-    if args.format == "json":
-        _emit(args, _render_json(params, names, values))
-    else:
-        _emit(args, _render_csv(",".join(names), values))
+    _emit(args, params, ["t", "rho", "phi", "z"], [[out.t, out.rho, out.phi, out.z]])
     return EXIT_OK
 
 

@@ -122,13 +122,27 @@ _COSH = np.frompyfunc(math.cosh, 1, 1)
 _SINH = np.frompyfunc(math.sinh, 1, 1)
 
 
+def _or_inf(fn):
+    """fn as a ufunc that gives inf where it overflows (for lam >= 0)."""
+
+    def value(lam: float) -> float:
+        try:
+            return fn(lam)
+        except OverflowError:
+            return math.inf
+
+    return np.frompyfunc(value, 1, 1)
+
+
 def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
     """Contravariant four-velocity at each row of x, an (n, 4) coordinate array.
 
-    Bit-identical to _u_components row by row. Raises DomainError for a
-    row off the chart or a component that overflows, and
-    LightCylinderError for a gal row at or past the light cylinder,
-    whichever row it is. numpy's overflow warnings are left to the caller.
+    Bit-identical to _u_components row by row where that returns. A row
+    whose components leave the float range gets non-finite components
+    instead of an error, so one such row does not stop the batch. Raises
+    DomainError for a row off the chart and LightCylinderError for a gal
+    row at or past the light cylinder, whichever row it is. numpy's
+    overflow warnings are left to the caller.
     """
     rho = x[:, 1]
     if not (rho > 0.0).all():
@@ -145,10 +159,10 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
         u[:, 0] = _COSH(lam)
         u[:, 2] = _SINH(lam)
     except OverflowError:
-        raise _overflow(lam.max()) from None
+        # rare: redo the batch with overflowing rows set to inf
+        u[:, 0] = _or_inf(math.cosh)(lam)
+        u[:, 2] = _or_inf(math.sinh)(lam)
     u[:, 2] *= spec.c / rho
-    if not np.isfinite(u[:, 2]).all():
-        raise _overflow(lam.max())
     return u
 
 
@@ -201,18 +215,29 @@ def proper_time_rate(rho: float, spec: CongruenceSpec) -> float:
 
 
 def revolution_period(rho: float, spec: CongruenceSpec) -> float:
-    """Lab time for one full turn (delta phi = 2 pi) of the fixed point."""
+    """Lab time for one full turn (delta phi = 2 pi) of the fixed point.
+
+    Raises DomainError where the period leaves the float range, as it
+    does for omega below about 3.5e-308.
+    """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     if spec.omega == 0.0:
         raise DegenerateError("no revolution at omega = 0")
     if spec.kind == GAL:
         _check_inside_light_cylinder(rho, spec)
-        return 2.0 * math.pi / spec.omega
-    speed = spec.c * math.tanh(rapidity(rho, spec))
-    if speed == 0.0:
+        period = 2.0 * math.pi / spec.omega
+    else:
+        speed = spec.c * math.tanh(rapidity(rho, spec))
+        if speed == 0.0:
+            raise DomainError(
+                f"rho * omega / c underflows the float range at rho = {rho}, "
+                f"omega = {spec.omega}, c = {spec.c}"
+            )
+        period = 2.0 * math.pi * rho / speed
+    if not math.isfinite(period):
         raise DomainError(
-            f"rho * omega / c underflows the float range at rho = {rho}, "
+            f"revolution period exceeds the float range at rho = {rho}, "
             f"omega = {spec.omega}, c = {spec.c}"
         )
-    return 2.0 * math.pi * rho / speed
+    return period

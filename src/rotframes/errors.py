@@ -9,10 +9,6 @@ class DomainError(RotframesError):
     """Input lies outside the coordinate chart or parameter domain."""
 
 
-class VarianceError(RotframesError):
-    """Index operation applied to a vector that already has the target variance."""
-
-
 class LightCylinderError(DomainError):
     """Rigid-rotation observer requested at or beyond rho = c / omega."""
 

@@ -33,6 +33,14 @@ prefactor uses the tangent normalized to unit norm (u / c), which keeps
 the vorticity scalar an angular rate per unit proper time for any value
 of c.
 
+This module owns the rule for which events can be differenced: the
+stencil must stay off the axis and, for gal, inside the light cylinder
+(_stencil_fits). The public functions raise DomainError for an event
+that fails it or for a result that is not finite. _scalar_rows, the
+batch routine behind vorticity_scalars and the CLI tables, instead
+gives nan for such a row and differences the other rows in one field
+call.
+
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
 of a rigidly rotating congruence points along +z. Only the magnitude is
@@ -224,29 +232,31 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _jet(spec: FieldLike, x: np.ndarray, cfg: DerivativeConfig | None) -> _Jet:
+def _jet(spec: FieldLike, x: np.ndarray, h: np.ndarray, extrapolate: bool) -> _Jet:
     """u, g, u_low and the lowered Jacobian at each row of x, an (n, 4) array.
 
+    h holds one step per row; the stencils must fit (see _stencil_fits).
     The field is called once, on the stencil and the events together; u
     is u_low / g_a, so u_low is exactly the lowered field that was
-    differenced.
+    differenced. Nothing is checked for overflow here.
     """
-    cfg = cfg or _DEFAULT
     u_rows, c = _field_rows(spec)
     rho = x[:, 1]
-    h = cfg.resolve_step(rho)
-    _guard_stencil(spec, rho, h)
 
     def lowered(y: np.ndarray) -> np.ndarray:
         return metric_diag(y[:, 1], c) * u_rows(y)
 
-    du, u_low = _fd_matrix(lowered, x, h, cfg.method == "extrapolated")
+    du, u_low = _fd_matrix(lowered, x, h, extrapolate)
     g = metric_diag(rho, c)
-    return _Jet(rho, c, u_low / g, g, u_low, _finite(du))
+    return _Jet(rho, c, u_low / g, g, u_low, du)
 
 
 def _at(spec: FieldLike, event: Event, cfg: DerivativeConfig | None) -> _Jet:
-    return _jet(spec, np.array([[event.t, event.rho, event.phi, event.z]]), cfg)
+    cfg = cfg or _DEFAULT
+    x = np.array([[event.t, event.rho, event.phi, event.z]])
+    h = cfg.resolve_step(x[:, 1])
+    _guard_stencil(spec, x[:, 1], h)
+    return _jet(spec, x, h, cfg.method == "extrapolated")
 
 
 def _contravariant_jacobian(jet: _Jet) -> np.ndarray:
@@ -324,7 +334,7 @@ def partial_derivatives_u(
     Rows index the component, columns the differentiation coordinate in
     the (t, rho, phi, z) order.
     """
-    return _at(spec, event, cfg).du[0]
+    return _finite(_at(spec, event, cfg).du)[0]
 
 
 @_quiet
@@ -376,6 +386,28 @@ def vorticity_vector_from_tensor(
 
 
 @_quiet
+def _scalar_rows(
+    spec: FieldLike, x: np.ndarray, cfg: DerivativeConfig | None = None
+) -> np.ndarray:
+    """Vorticity scalar at each row of x, an (n, 4) coordinate array.
+
+    A row is nan where its stencil does not fit (off the chart, or across
+    the gal light cylinder) or where a value is not finite. The field is
+    called once, on the rows that fit.
+    """
+    cfg = cfg or _DEFAULT
+    h = cfg.resolve_step(x[:, 1])
+    fits = _stencil_fits(spec, x[:, 1], h)
+    out = np.full(len(x), np.nan)
+    if fits.any():
+        jet = _jet(spec, x[fits], h[fits], cfg.method == "extrapolated")
+        scalar = _norm_rows(jet, _eps_contract(jet, jet.du))
+        finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(scalar)
+        out[fits] = np.where(finite, scalar, np.nan)
+    return out
+
+
+@_quiet
 def vorticity_scalars(
     spec: FieldLike, coords: np.ndarray, cfg: DerivativeConfig | None = None
 ) -> np.ndarray:
@@ -384,8 +416,9 @@ def vorticity_scalars(
     Raises DomainError if any row's stencil leaves the chart or crosses
     the gal light cylinder, or if a value overflows.
     """
-    jet = _jet(spec, np.asarray(coords, dtype=float).reshape(-1, 4), cfg)
-    return _finite(_norm_rows(jet, _eps_contract(jet, jet.du)))
+    x = np.asarray(coords, dtype=float).reshape(-1, 4)
+    _guard_stencil(spec, x[:, 1], (cfg or _DEFAULT).resolve_step(x[:, 1]))
+    return _finite(_scalar_rows(spec, x, cfg))
 
 
 def vorticity_scalar(
@@ -441,5 +474,5 @@ def kinematic_sample(
         u_dot=FourVector(u_dot[0], CONTRAVARIANT),
         vorticity_tensor=_finite(_tensor_rows(jet, gam, u_dot))[0],
         vorticity_vector=FourVector(w_vec[0], CONTRAVARIANT),
-        vorticity_scalar=float(_norm_rows(jet, w_vec)[0]),
+        vorticity_scalar=float(_finite(_norm_rows(jet, w_vec))[0]),
     )

@@ -17,10 +17,9 @@ from itertools import permutations
 
 import numpy as np
 
-from .errors import DomainError, VarianceError
+from .errors import DomainError
 
 T, RHO, PHI, Z = 0, 1, 2, 3
-COORD_NAMES = ("t", "rho", "phi", "z")
 
 CONTRAVARIANT = "contravariant"
 COVARIANT = "covariant"
@@ -41,14 +40,6 @@ LEVI_CIVITA = _permutation_symbol()
 LEVI_CIVITA.setflags(write=False)
 
 
-def levi_civita(i: int, j: int, k: int, l: int) -> int:
-    """Permutation sign of (i, j, k, l); zero when any index repeats."""
-    for idx in (i, j, k, l):
-        if not 0 <= idx <= 3:
-            raise IndexError(f"tensor index {idx} outside 0..3")
-    return int(LEVI_CIVITA[i, j, k, l])
-
-
 @dataclass(frozen=True)
 class Event:
     """A spacetime point (t, rho, phi, z) with rho strictly off the axis."""
@@ -64,12 +55,6 @@ class Event:
 
     def coords(self) -> np.ndarray:
         return np.array([self.t, self.rho, self.phi, self.z])
-
-    def shifted(self, axis: int, delta: float) -> "Event":
-        """New event with one coordinate displaced by delta."""
-        c = [self.t, self.rho, self.phi, self.z]
-        c[axis] += delta
-        return Event(*c)
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,11 +95,6 @@ def metric_diag(rho, c: float) -> np.ndarray:
     """
     if not c > 0.0:
         raise DomainError(f"c must be positive, got {c}")
-    if isinstance(rho, float):
-        # the per-event path: a fifth of the array path's cost
-        if not rho > 0.0:
-            raise DomainError(f"rho must be positive, got {rho}")
-        return np.array([c * c, -1.0, -(rho * rho), -1.0])
     r = np.asarray(rho, dtype=float)
     if not (r > 0.0).all():
         raise DomainError(f"rho must be positive, got {rho}")
@@ -136,37 +116,16 @@ def metric_at(event: Event, c: float = 1.0) -> MetricAt:
 
 
 def _christoffel(rho) -> np.ndarray:
-    """Gamma[..., a, b, g] at radius rho, a float or an array of radii."""
+    """Gamma[..., a, b, g] = Gamma^a_{bg} at radius rho, a float or an array.
+
+    Only Gamma^rho_{phi phi} = -rho and Gamma^phi_{rho phi} = 1/rho (and
+    its mirror) are nonzero in this chart; c drops out entirely.
+    """
     gam = np.zeros(np.shape(rho) + (4, 4, 4))
     gam[..., RHO, PHI, PHI] = -rho
     gam[..., PHI, RHO, PHI] = 1.0 / rho
     gam[..., PHI, PHI, RHO] = 1.0 / rho
     return gam
-
-
-def christoffel_at(event: Event, c: float = 1.0) -> np.ndarray:
-    """Connection coefficients Gamma[a, b, g] = Gamma^a_{bg}.
-
-    Only Gamma^rho_{phi phi} = -rho and Gamma^phi_{rho phi} = 1/rho (and
-    its mirror) are nonzero in this chart; c drops out entirely.
-    """
-    if not c > 0.0:
-        raise DomainError(f"c must be positive, got {c}")
-    return _christoffel(event.rho)
-
-
-def lower_index(v: FourVector, m: MetricAt) -> FourVector:
-    """Lower v^a to v_a = g_ab v^b."""
-    if v.variance == COVARIANT:
-        raise VarianceError("components are already covariant")
-    return FourVector(m.g @ v.components, COVARIANT)
-
-
-def raise_index(v: FourVector, m: MetricAt) -> FourVector:
-    """Raise v_a to v^a = g^ab v_b."""
-    if v.variance == CONTRAVARIANT:
-        raise VarianceError("components are already contravariant")
-    return FourVector(m.g_inv @ v.components, CONTRAVARIANT)
 
 
 def dot(a: FourVector, b: FourVector, m: MetricAt) -> float:

@@ -489,6 +489,32 @@ class TestOverflow:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("omega", ["3e-308", "1e-310", "5e-324"])
+    def test_overflowing_period_marks_rows(self, capsys, omega):
+        # the period 2 pi / omega leaves the float range: the rows held
+        # delta_phi_prime = thomas_net = -inf marked ok
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, ["compare", "--rho", "1", "--omega", omega])
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["domain_error"] * 3
+        for kind in ("gal", "tt", "mtt"):
+            code, out, err = run(
+                capsys, ["precess", "--kind", kind, "--rho", "1", "--omega", omega]
+            )
+            assert code == 3 and out == ""
+            assert err.count("\n") == 1 and "Traceback" not in err
+
+    def test_underflowed_difference_quotient_still_fails_the_self_check(self, capsys):
+        # omega 1e-300: the period fits, the numeric scalar underflows to 0
+        code, out, err = run(
+            capsys, ["compare", "--rho", "1", "--omega", "1e-300", "--self-check"]
+        )
+        assert code == 2 and err.startswith("self-check failed: rel_err 1.000e+00")
+        _, rows = parse_csv(out)
+        assert [r["status"] for r in rows] == ["ok"] * 3
+
     def test_transform_is_domain_error_exit(self, capsys):
         code, out, err = run(
             capsys, ["transform", "--map", "tt", "--t", "1", "--rho", "800",

@@ -160,11 +160,25 @@ class TestFourVelocity:
             assert np.array_equal(rows, np.array(single))
 
     def test_rows_raise_for_any_bad_row(self):
-        from rotframes.congruences import _u_rows
+        from rotframes import vorticity_scalars
+        from rotframes.congruences import _u_components, _u_rows
 
+        # a row past the float range is non-finite and leaves the other
+        # rows as they are: at rapidity 900 cosh and sinh overflow, at
+        # rapidity 30 with omega = 1e300 only c / rho * sinh does
+        for omega, rhos, bad in ((1.0, [1.0, 900.0], [0, 2]),
+                                 (1e300, [1e-300, 3e-299], [2])):
+            spec = CongruenceSpec("tt", omega)
+            coords = np.array([[0.3, rhos[0], 0.2, 0.1], [0.0, rhos[1], 0.0, 0.0]])
+            with np.errstate(over="ignore"):
+                rows = _u_rows(coords, spec)
+            assert np.isinf(rows[1, bad]).all()
+            assert np.isfinite(np.delete(rows[1], bad)).all()
+            assert np.array_equal(rows[0], _u_components(Event(*coords[0]), spec))
+        # the kinematics still reports the overflow
         coords = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 900.0, 0.0, 0.0]])
         with pytest.raises(DomainError, match="overflow"):
-            _u_rows(coords, CongruenceSpec("tt", 1.0))
+            vorticity_scalars(CongruenceSpec("tt", 1.0), coords)
         with pytest.raises(LightCylinderError):
             _u_rows(coords, CongruenceSpec("gal", 0.01))
         with pytest.raises(DomainError):
@@ -245,6 +259,14 @@ class TestSpeedAndTiming:
         assert rapidity(1e-300, spec) == 0.0
         with pytest.raises(DomainError, match="underflows"):
             revolution_period(1e-300, spec)
+
+    @pytest.mark.parametrize("omega", [3e-308, 1e-310, 5e-324])
+    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
+    def test_period_past_the_float_range_is_domain_error(self, kind, omega):
+        # 2 pi / omega overflows below omega = 3.5e-308
+        with pytest.raises(DomainError, match="float range"):
+            revolution_period(1.0, CongruenceSpec(kind, omega))
+        assert math.isfinite(revolution_period(1.0, CongruenceSpec(kind, 4e-308)))
 
     def test_gal_and_tt_periods_agree_in_slow_limit(self):
         # tanh(lam)/lam = 1 - lam^2/3 + O(lam^4)

@@ -439,6 +439,62 @@ class TestOneJacobian:
         assert vorticity_scalars(spec, np.zeros((0, 4))).shape == (0,)
 
 
+class TestScalarRows:
+    """kinematics._scalar_rows, the batch routine behind the CLI tables."""
+
+    @pytest.fixture
+    def jacobians(self, monkeypatch):
+        from rotframes import kinematics
+
+        sizes = []
+        real = kinematics._fd_matrix
+
+        def counted(fn, x, h, extrapolate):
+            sizes.append(len(x))
+            return real(fn, x, h, extrapolate)
+
+        monkeypatch.setattr(kinematics, "_fd_matrix", counted)
+        return sizes
+
+    def test_bad_rows_are_nan_and_the_rest_one_batch(self, jacobians):
+        from rotframes.kinematics import _scalar_rows
+
+        # tt: stencil off the chart, fits, scalar past the float range,
+        # u past the float range, fits
+        spec = CongruenceSpec("tt", 1.0)
+        x = np.zeros((5, 4))
+        x[:, 1] = [1e-5, 1.0, 400.0, 900.0, 2.5]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = _scalar_rows(spec, x)
+        assert jacobians == [4]
+        assert np.isnan(out[[0, 2, 3]]).all()
+        assert out[[1, 4]].tolist() == vorticity_scalars(spec, x[[1, 4]]).tolist()
+        # gal at c / omega = 2: fits, stencil across the light cylinder,
+        # on it, past it
+        jacobians.clear()
+        spec = CongruenceSpec("gal", 0.5)
+        x[:4, 1] = [1.0, 1.99995, 2.0, 3.0]
+        out = _scalar_rows(spec, x[:4])
+        assert jacobians == [1]
+        assert np.isnan(out[1:]).all()
+        assert out[0] == vorticity_scalar(spec, Event(0.0, 1.0, 0.0))
+        # no row fits: the field is not evaluated
+        jacobians.clear()
+        assert np.isnan(_scalar_rows(spec, x[1:4])).all()
+        assert _scalar_rows(spec, np.zeros((0, 4))).shape == (0,)
+        assert jacobians == []
+
+    def test_overflowing_cli_row_takes_one_jacobian(self, jacobians):
+        from rotframes.cli import compute_row
+
+        # c^2 overflows the metric; this row was differenced three times
+        row = compute_row("tt", 5.550993789130864e87, 4.01386935375306e-185,
+                          8.55311998774621e197)
+        assert row.status == "domain_error"
+        assert jacobians == [1]
+
+
 class TestOverflow:
     @pytest.mark.parametrize("lam", [400.0, 800.0])
     def test_domain_error_without_warnings(self, lam):

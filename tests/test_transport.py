@@ -8,6 +8,7 @@ import rotframes._kernels as kernels
 from rotframes import (
     CongruenceSpec,
     ConstraintDriftError,
+    DomainError,
     Event,
     LightCylinderError,
     acceleration,
@@ -260,6 +261,15 @@ class TestPrecessionReports:
             rep = precession_per_revolution(CongruenceSpec(kind, 1e-6), 1.0)
             assert rep.delta_phi == pytest.approx(-2.0 * math.pi, abs=1e-9)
             assert abs(rep.net_angle) < 1e-9
+
+    def test_period_past_the_float_range_is_domain_error(self):
+        # 2 pi / omega overflows: delta_phi and net_angle were -inf
+        for kind in ("gal", "tt", "mtt"):
+            spec = CongruenceSpec(kind, 3e-308)
+            with pytest.raises(DomainError, match="float range"):
+                precession_per_revolution(spec, 1.0)
+            with pytest.raises(DomainError, match="float range"):
+                proper_period(spec, 1.0)
 
     def test_classic_thomas_small_speed_expansion(self):
         # net angle 2 pi (1 - gamma) ~ -pi beta^2 for slow rigid rotation
