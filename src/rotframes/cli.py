@@ -44,26 +44,30 @@ import math
 import os
 import re
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .congruences import (
-    GAL,
     KINDS,
     CongruenceSpec,
     fixed_point_speed,
     gal_inverse,
     gal_map,
+    omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
     proper_time_rate,
     tt_inverse,
     tt_map,
 )
-from .errors import ConstraintDriftError, DegenerateError, DomainError
+from .errors import (
+    ConstraintDriftError,
+    DegenerateError,
+    DomainError,
+    LightCylinderError,
+)
 from .kinematics import (
     _scalar_rows,
-    omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
     vorticity_scalar,  # noqa: F401  rfbench/layers.py traces it here
 )
 from .tensors import Event
@@ -83,7 +87,7 @@ EXIT_SELF_CHECK = 2
 EXIT_DOMAIN = 3
 EXIT_USAGE = 64
 
-_NAN = float("nan")
+_NANS = (float("nan"),) * 7  # the numeric columns of a marked row
 
 
 class UsageError(Exception):
@@ -107,8 +111,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass(frozen=True)
-class ReportRow:
+class ReportRow(NamedTuple):
     """One line of the unified report table (see CSV_HEADER)."""
 
     kind: str
@@ -122,21 +125,6 @@ class ReportRow:
     delta_phi_prime: float
     thomas_net: float
     status: str = "ok"
-
-    def values(self) -> list:
-        return [
-            self.kind,
-            self.rho,
-            self.lam,
-            self.omega_numeric,
-            self.omega_closed,
-            self.rel_err,
-            self.v,
-            self.dtau_dt,
-            self.delta_phi_prime,
-            self.thomas_net,
-            self.status,
-        ]
 
 
 def _jsonable(value):
@@ -152,7 +140,7 @@ def _perturbation() -> float:
 
 
 def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
-    return ReportRow(kind, rho, lam, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, _NAN, status)
+    return ReportRow(kind, rho, lam, *_NANS, status)
 
 
 def _closed_columns(spec: CongruenceSpec, rho: float) -> tuple:
@@ -167,7 +155,8 @@ def compute_rows(kind: str, rhos, omega: float, c: float,
     """Evaluate grid points of one kind; domain failures become marked rows.
 
     Closed-form columns are computed per row; a row whose closed form
-    raises DomainError is marked domain_error. The numeric scalar comes
+    raises LightCylinderError is marked light_cylinder, and one that
+    raises another DomainError domain_error. The numeric scalar comes
     from one kinematics._scalar_rows call over the other rows, multiplied
     by (1 + perturb); a row it gives as nan (stencil does not fit, value
     not finite) is marked domain_error too.
@@ -176,11 +165,11 @@ def compute_rows(kind: str, rhos, omega: float, c: float,
     rows, pending = [], []
     for rho in map(float, rhos):
         lam = rho * omega / c
-        if kind == GAL and rho * omega >= c:
-            rows.append(_marked_row(kind, rho, lam, "light_cylinder"))
-            continue
         try:
             closed = _closed_columns(spec, rho)
+        except LightCylinderError:
+            rows.append(_marked_row(kind, rho, lam, "light_cylinder"))
+            continue
         except DomainError:
             rows.append(_marked_row(kind, rho, lam, "domain_error"))
             continue
@@ -206,7 +195,7 @@ def compute_row(kind: str, rho: float, omega: float, c: float,
     return compute_rows(kind, [rho], omega, c, perturb)[0]
 
 
-def _render_csv(header: str, rows: list[list]) -> str:
+def _render_csv(header: str, rows: list) -> str:
     if not rows:
         return header + "\n"
     # one %-format per row; "%.17g" prints nan and inf as format() does
@@ -214,7 +203,7 @@ def _render_csv(header: str, rows: list[list]) -> str:
     return "\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n"
 
 
-def _render_json(params: dict, field_names: list[str], rows: list[list]) -> str:
+def _render_json(params: dict, field_names: list[str], rows: list) -> str:
     payload = {
         "params": params,
         "rows": [
@@ -225,7 +214,7 @@ def _render_json(params: dict, field_names: list[str], rows: list[list]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _emit(args, params: dict, field_names: list[str], rows: list[list]) -> None:
+def _emit(args, params: dict, field_names: list[str], rows: list) -> None:
     """Write the rows as CSV or JSON (--format) to --out or stdout."""
     if args.format == "json":
         text = _render_json(params, field_names, rows)
@@ -253,7 +242,7 @@ def _gate(args, rows: list[ReportRow]) -> int:
 
 
 def _emit_report(args, params: dict, rows: list[ReportRow]) -> int:
-    _emit(args, params, ROW_FIELDS, [r.values() for r in rows])
+    _emit(args, params, ROW_FIELDS, rows)
     return _gate(args, rows)
 
 
@@ -307,13 +296,11 @@ def cmd_compare(args) -> int:
 
 
 def cmd_precess(args) -> int:
+    spec = CongruenceSpec(args.kind, args.omega, args.c)
+    # single-point command: a closed-form DomainError (the light cylinder
+    # among them) reaches the user with its own message
+    precession_per_revolution(spec, args.rho)
     row = compute_row(args.kind, args.rho, args.omega, args.c, _perturbation())
-    if row.status == "light_cylinder":
-        # single-point command: surface the horizon as a domain error
-        raise DomainError(
-            f"light cylinder reached: rho * omega = {args.rho * args.omega} "
-            f">= c = {args.c}"
-        )
     if row.status != "ok":
         raise DomainError(
             f"point not numerically evaluable: rho = {args.rho}, "
@@ -328,18 +315,17 @@ def cmd_precess(args) -> int:
         "format": args.format,
         "fw_check": args.fw_check,
     }
-    names, values = ROW_FIELDS, row.values()
+    names, values = ROW_FIELDS, row
     if args.fw_check is not None:
         if not 16 <= args.fw_check <= 2**53:
             # above 2**53 step indices are no longer exact floats
             raise UsageError("--fw-check needs 16 to 2**53 steps")
-        spec = CongruenceSpec(args.kind, args.omega, args.c)
         try:
-            fw_angle = measure_precession_angle(spec, args.rho, args.fw_check)
+            fw_measured = measure_precession_angle(spec, args.rho, args.fw_check)
         except ConstraintDriftError as exc:
             raise DomainError(f"{exc}; increase --fw-check") from exc
         names = ROW_FIELDS + ["fw_measured", "fw_deviation"]
-        values = values + [fw_angle, fw_angle - row.delta_phi_prime]
+        values = (*row, fw_measured, fw_measured - row.delta_phi_prime)
     _emit(args, params, names, [values])
     return _gate(args, [row])
 

@@ -81,24 +81,24 @@ def gal_inverse(e: Event, spec: CongruenceSpec) -> Event:
     return Event(e.t, e.rho, e.phi + spec.omega * e.t, e.z)
 
 
-def _overflow(lam: float) -> DomainError:
-    return DomainError(f"overflow at rapidity {lam}: a value exceeds the float range")
-
-
-def _hyperbolic(fn, lam: float) -> float:
-    """fn(lam) for math.cosh or math.sinh; DomainError where it overflows."""
-    try:
-        return fn(lam)
-    except OverflowError:
-        raise _overflow(lam) from None
+def _overflow(rho: float, spec: CongruenceSpec) -> DomainError:
+    return DomainError(
+        f"overflow at rho = {rho}, omega = {spec.omega}, c = {spec.c}: "
+        "a value exceeds the float range"
+    )
 
 
 def _tt_apply(e: Event, lam: float, c: float) -> Event:
-    ch, sh = _hyperbolic(math.cosh, lam), _hyperbolic(math.sinh, lam)
+    try:
+        ch, sh = math.cosh(lam), math.sinh(lam)
+    except OverflowError:
+        ch = sh = math.inf  # phi and t come out non-finite below
     phi = e.phi * ch - e.t * (c / e.rho) * sh
     t = e.t * ch - e.phi * (e.rho / c) * sh
     if not (math.isfinite(phi) and math.isfinite(t)):
-        raise _overflow(lam)
+        raise DomainError(
+            f"overflow at rapidity {lam}: a value exceeds the float range"
+        )
     return Event(t, e.rho, phi, e.z)
 
 
@@ -178,10 +178,13 @@ def _u_components(e: Event, spec: CongruenceSpec) -> np.ndarray:
         gamma = 1.0 / math.sqrt(1.0 - beta * beta)
         return np.array([gamma, 0.0, gamma * spec.omega, 0.0])
     lam = rapidity(e.rho, spec)
-    u_phi = (spec.c / e.rho) * _hyperbolic(math.sinh, lam)
+    try:
+        u_t, u_phi = math.cosh(lam), (spec.c / e.rho) * math.sinh(lam)
+    except OverflowError:
+        u_phi = math.inf
     if not math.isfinite(u_phi):
-        raise _overflow(lam)
-    return np.array([_hyperbolic(math.cosh, lam), 0.0, u_phi, 0.0])
+        raise _overflow(e.rho, spec)
+    return np.array([u_t, 0.0, u_phi, 0.0])
 
 
 def four_velocity(e: Event, spec: CongruenceSpec) -> FourVector:
@@ -211,7 +214,10 @@ def proper_time_rate(rho: float, spec: CongruenceSpec) -> float:
         _check_inside_light_cylinder(rho, spec)
         beta = spec.omega * rho / spec.c
         return math.sqrt(1.0 - beta * beta)
-    return 1.0 / _hyperbolic(math.cosh, rapidity(rho, spec))
+    try:
+        return 1.0 / math.cosh(rapidity(rho, spec))
+    except OverflowError:
+        raise _overflow(rho, spec) from None
 
 
 def revolution_period(rho: float, spec: CongruenceSpec) -> float:
@@ -241,3 +247,27 @@ def revolution_period(rho: float, spec: CongruenceSpec) -> float:
             f"omega = {spec.omega}, c = {spec.c}"
         )
     return period
+
+
+def omega_closed_form(rho: float, spec: CongruenceSpec) -> float:
+    """Closed-form vorticity scalar of the fixed-point congruence at radius rho.
+
+    gal: omega / (1 - omega^2 rho^2 / c^2), diverging at the light
+    cylinder (LightCylinderError); tt and mtt: (c / 2 rho) (sinh(lam)
+    cosh(lam) + lam) with lam = rho omega / c, which leaves the float
+    range above lam = 355, or where c / rho does (DomainError).
+    """
+    if not rho > 0.0:
+        raise DomainError(f"rho must be positive, got {rho}")
+    if spec.kind == GAL:
+        _check_inside_light_cylinder(rho, spec)
+        beta = spec.omega * rho / spec.c
+        return spec.omega / (1.0 - beta * beta)
+    lam = rho * spec.omega / spec.c
+    try:
+        value = (spec.c / (2.0 * rho)) * (math.sinh(lam) * math.cosh(lam) + lam)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise _overflow(rho, spec)
+    return value

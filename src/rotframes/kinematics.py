@@ -3,7 +3,8 @@
 The pipeline differentiates the four-velocity field numerically (central
 differences, optionally with one Richardson extrapolation level), so it
 works for any congruence supplied as u(event), not just the built-in
-ones. Everything runs on arrays of events: one stencil of four points per
+ones, whose closed forms (congruences.omega_closed_form) it is checked
+against. Everything runs on arrays of events: one stencil of four points per
 axis (two without Richardson) around every event is evaluated, together
 with the events themselves, in one field call, and a call at a single
 event is a batch of one.
@@ -49,7 +50,6 @@ convention-free.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import partial, wraps
 from typing import Callable, NamedTuple, Union
@@ -61,12 +61,10 @@ import numpy as np
 from .congruences import (  # noqa: F401
     GAL,
     CongruenceSpec,
-    _hyperbolic,
-    _overflow,
     _u_components,
     _u_rows,
 )
-from .errors import DomainError, LightCylinderError
+from .errors import DomainError
 from .tensors import (
     CONTRAVARIANT,
     LEVI_CIVITA,
@@ -427,32 +425,6 @@ def vorticity_scalar(
     """Magnitude sqrt(-w.w) of the (spacelike) vorticity vector."""
     coords = [[event.t, event.rho, event.phi, event.z]]
     return float(vorticity_scalars(spec, coords, cfg)[0])
-
-
-def omega_closed_form(rho: float, spec: CongruenceSpec) -> float:
-    """Closed-form vorticity scalar of the built-in congruences.
-
-    gal: omega / (1 - omega^2 rho^2 / c^2), diverging at the light
-    cylinder; tt and mtt: (c / 2 rho) (sinh(lam) cosh(lam) + lam) with
-    lam = rho omega / c, which leaves the float range above lam = 355
-    (DomainError).
-    """
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if spec.kind == GAL:
-        beta = spec.omega * rho / spec.c
-        if beta >= 1.0:
-            raise LightCylinderError(
-                f"gal vorticity undefined at rho = {rho}: light cylinder reached"
-            )
-        return spec.omega / (1.0 - beta * beta)
-    lam = rho * spec.omega / spec.c
-    value = (spec.c / (2.0 * rho)) * (
-        _hyperbolic(math.sinh, lam) * _hyperbolic(math.cosh, lam) + lam
-    )
-    if not math.isfinite(value):
-        raise _overflow(lam)
-    return value
 
 
 @_quiet

@@ -22,13 +22,18 @@ Thomas result -2 pi cosh(lambda), which intentionally differs from the
 vorticity-based per-revolution angle. See README for the discussion.
 
 Angles are reported unwrapped (accumulated), never folded mod 2 pi.
+
+The per-revolution reports (precession_per_revolution,
+compare_congruences) are built from the closed forms in congruences
+alone; the integrator angle is measure_precession_angle's and is only
+computed when asked for.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,20 +44,12 @@ from .congruences import (
     TT,
     CongruenceSpec,
     _u_components,
+    omega_closed_form,
     proper_time_rate,
     revolution_period,
 )
 from .errors import ConstraintDriftError, DomainError, LightCylinderError
-from .kinematics import omega_closed_form
-from .tensors import (
-    CONTRAVARIANT,
-    PHI,
-    T,
-    Event,
-    FourVector,
-    _christoffel,
-    metric_diag,
-)
+from .tensors import PHI, T, Event, _christoffel, metric_diag
 
 #: Scaled constraint-drift bound (|S.u| or relative S.S change) above
 #: which a transport run is rejected mid-flight.
@@ -71,62 +68,20 @@ class Worldline:
     rho: float
     u: np.ndarray
     a: np.ndarray
-    t0: float = 0.0
-    phi0: float = 0.0
-    z0: float = 0.0
-
-    def event(self, tau: float) -> Event:
-        return Event(
-            self.t0 + self.u[T] * tau,
-            self.rho,
-            self.phi0 + self.u[PHI] * tau,
-            self.z0,
-        )
-
-    @property
-    def angular_rate(self) -> float:
-        """dphi/dt of the orbit in lab time."""
-        return self.u[PHI] / self.u[T]
-
-    @property
-    def proper_acceleration(self) -> float:
-        """Magnitude sqrt(-a.a) of the centripetal acceleration."""
-        return self.rho * self.u[PHI] ** 2
-
-
-@dataclass(frozen=True)
-class SpinState:
-    """Spin four-vector at one proper time along a worldline."""
-
-    tau: float
-    S: FourVector
-    event: Event
 
 
 @dataclass(frozen=True, eq=False)
 class FwTrajectory:
     """Sampled spin history of one transport run.
 
-    max_drift is the worst scaled constraint violation seen mid-run: the
-    larger of |S.u| / (|S| c) and the relative change of S.S.
+    spins[k] holds the contravariant spin components at proper time
+    taus[k]. max_drift is the worst scaled constraint violation seen
+    mid-run: the larger of |S.u| / (|S| c) and the relative change of S.S.
     """
 
-    worldline: Worldline
     taus: np.ndarray
     spins: np.ndarray
     max_drift: float
-
-    def state(self, k: int) -> SpinState:
-        tau = float(self.taus[k])
-        return SpinState(
-            tau=tau,
-            S=FourVector(self.spins[k].copy(), CONTRAVARIANT),
-            event=self.worldline.event(tau),
-        )
-
-    @property
-    def final(self) -> SpinState:
-        return self.state(len(self.taus) - 1)
 
 
 @dataclass(frozen=True)
@@ -135,10 +90,10 @@ class PrecessionReport:
 
     delta_phi = -vorticity * delta_tau by construction; net_angle adds
     the 2 pi the rotating axes themselves turn through, giving the spin
-    rotation relative to inertial axes. fw_angle, when present, is the
-    integrator measurement described in the module docstring. A gal entry
-    at or beyond the light cylinder carries status "light_cylinder" and
-    NaN numerics.
+    rotation relative to inertial axes. The integrator's own angle is
+    measure_precession_angle's, computed on request only. A gal entry of
+    compare_congruences at or beyond the light cylinder carries status
+    "light_cylinder" and NaN numerics.
     """
 
     kind: str
@@ -149,23 +104,15 @@ class PrecessionReport:
     delta_tau: float
     delta_phi: float
     net_angle: float
-    fw_angle: float | None = None
     status: str = "ok"
 
 
-def worldline(
-    spec: CongruenceSpec,
-    rho: float,
-    t0: float = 0.0,
-    phi0: float = 0.0,
-    z0: float = 0.0,
-) -> Worldline:
+def worldline(spec: CongruenceSpec, rho: float) -> Worldline:
     """Build the circular worldline of the fixed point at radius rho."""
-    e0 = Event(t0, rho, phi0, z0)
-    u = _u_components(e0, spec)
+    u = _u_components(Event(0.0, rho, 0.0), spec)
     a = np.zeros(4)
     a[1] = -rho * u[PHI] ** 2
-    return Worldline(spec=spec, rho=rho, u=u, a=a, t0=t0, phi0=phi0, z0=z0)
+    return Worldline(spec=spec, rho=rho, u=u, a=a)
 
 
 def corotating_dyad(wl: Worldline) -> tuple[np.ndarray, np.ndarray]:
@@ -201,25 +148,17 @@ def fw_step(m: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _spin_components(s0) -> np.ndarray:
-    if isinstance(s0, SpinState):
-        return np.asarray(s0.S.components, dtype=float)
-    if isinstance(s0, FourVector):
-        return np.asarray(s0.components, dtype=float)
-    return np.asarray(s0, dtype=float)
-
-
 def fw_transport(
     wl: Worldline,
-    s0,
+    s0: np.ndarray,
     tau_span: float,
     steps: int,
     n_samples: int = 1025,
 ) -> FwTrajectory:
     """Fermi-Walker transport of a spin vector for a span of proper time.
 
-    s0 may be a SpinState, a FourVector or a plain component array; it
-    must be spacelike and orthogonal to the worldline's four-velocity.
+    s0 holds the contravariant spin components; it must be spacelike and
+    orthogonal to the worldline's four-velocity.
     steps must be an integer from 16 to 2**53 (ValueError otherwise).
     Raises ConstraintDriftError when the scaled |S.u| or the relative
     S.S drift exceeds DRIFT_LIMIT at any step, or is nan because the
@@ -233,7 +172,7 @@ def fw_transport(
         raise ValueError(f"steps must be from 16 to 2**53, got {steps}")
     if not tau_span > 0.0:
         raise ValueError(f"tau_span must be positive, got {tau_span}")
-    s = _spin_components(s0)
+    s = np.asarray(s0, dtype=float)
     c = wl.spec.c
     g = metric_diag(wl.rho, c)
     s_norm2 = -float(s @ (g * s))
@@ -260,7 +199,6 @@ def fw_transport(
             f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: too few steps"
         )
     return FwTrajectory(
-        worldline=wl,
         taus=record_idx.astype(float) * h,
         spins=spins,
         max_drift=drift,
@@ -297,16 +235,11 @@ def measure_precession_angle(
     return float(theta[-1] - theta[0])
 
 
-def precession_per_revolution(
-    spec: CongruenceSpec, rho: float, fw_steps: int | None = None
-) -> PrecessionReport:
-    """Closed-form per-revolution precession, optionally with the FW check."""
+def precession_per_revolution(spec: CongruenceSpec, rho: float) -> PrecessionReport:
+    """Closed-form per-revolution precession of the fixed point at radius rho."""
     omega_scalar = omega_closed_form(rho, spec)
     delta_tau = proper_period(spec, rho)
     delta_phi = -omega_scalar * delta_tau
-    fw_angle = None
-    if fw_steps is not None:
-        fw_angle = measure_precession_angle(spec, rho, fw_steps)
     return PrecessionReport(
         kind=spec.kind,
         rho=rho,
@@ -316,7 +249,6 @@ def precession_per_revolution(
         delta_tau=delta_tau,
         delta_phi=delta_phi,
         net_angle=delta_phi + 2.0 * math.pi,
-        fw_angle=fw_angle,
     )
 
 
@@ -336,24 +268,20 @@ def _horizon_report(rho: float, omega: float, c: float) -> PrecessionReport:
 
 
 def compare_congruences(
-    rho: float, omega: float, c: float = 1.0, fw_steps: int | None = None
+    rho: float, omega: float, c: float = 1.0
 ) -> list[PrecessionReport]:
     """Per-revolution reports for gal, tt and mtt at identical parameters.
 
     The gal entry is replaced by a light-cylinder marker when rho * omega
     reaches c. tt and mtt are computed by the same code path, so their
-    numeric fields are identical; with fw_steps set, mtt inherits tt's
-    integrator measurement rather than re-running it.
+    numeric fields are identical.
     """
     try:
-        gal_report = precession_per_revolution(
-            CongruenceSpec(GAL, omega, c), rho, fw_steps
-        )
+        gal_report = precession_per_revolution(CongruenceSpec(GAL, omega, c), rho)
     except LightCylinderError:
         gal_report = _horizon_report(rho, omega, c)
-    tt_report = precession_per_revolution(CongruenceSpec(TT, omega, c), rho, fw_steps)
-    mtt_report = replace(
+    return [
+        gal_report,
+        precession_per_revolution(CongruenceSpec(TT, omega, c), rho),
         precession_per_revolution(CongruenceSpec(MTT, omega, c), rho),
-        fw_angle=tt_report.fw_angle,
-    )
-    return [gal_report, tt_report, mtt_report]
+    ]

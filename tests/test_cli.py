@@ -446,6 +446,19 @@ class TestOverflow:
         assert out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("argv,cause", [
+        (["--kind", "gal", "--rho", "1", "--omega", "3e-308"],
+         "revolution period exceeds the float range"),
+        (["--kind", "tt", "--rho", "400", "--omega", "1"],
+         "overflow at rho = 400.0, omega = 1.0, c = 1.0"),
+        (["--kind", "tt", "--rho", "1e-300", "--omega", "1e-300"],
+         "rho * omega / c underflows"),
+    ])
+    def test_precess_names_the_closed_form_cause(self, capsys, argv, cause):
+        code, out, err = run(capsys, ["precess"] + argv)
+        assert code == 3 and out == ""
+        assert cause in err and err.count("\n") == 1
+
     def test_sweep_marks_rows_past_the_float_range(self, capsys):
         with warnings.catch_warnings():
             warnings.simplefilter("error")

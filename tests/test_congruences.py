@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from rotframes import (
     gal_inverse,
     gal_map,
     metric_at,
+    omega_closed_form,
     proper_time_rate,
     rapidity,
     revolution_period,
@@ -267,6 +269,19 @@ class TestSpeedAndTiming:
         with pytest.raises(DomainError, match="float range"):
             revolution_period(1.0, CongruenceSpec(kind, omega))
         assert math.isfinite(revolution_period(1.0, CongruenceSpec(kind, 4e-308)))
+
+    @pytest.mark.parametrize("rho,omega,c", [(5e-324, 0.5, 3.0), (1e-310, 1.0, 1.0)])
+    def test_overflow_names_the_inputs(self, rho, omega, c):
+        # lam is 0 or tiny here: c / rho is what leaves the float range
+        spec = CongruenceSpec("tt", omega, c)
+        cause = f"overflow at rho = {rho}, omega = {omega}, c = {c}"
+        with pytest.raises(DomainError, match=re.escape(cause)):
+            omega_closed_form(rho, spec)
+        with pytest.raises(DomainError, match=re.escape(cause)):
+            four_velocity(Event(0.0, rho, 0.0), spec)
+        # and at rapidity past 710, where cosh itself overflows
+        with pytest.raises(DomainError, match=re.escape("overflow at rho = 800.0")):
+            proper_time_rate(800.0, CongruenceSpec("tt", 1.0))
 
     def test_gal_and_tt_periods_agree_in_slow_limit(self):
         # tanh(lam)/lam = 1 - lam^2/3 + O(lam^4)

@@ -34,20 +34,22 @@ def gamma_of(beta):
 class TestWorldline:
     def test_gal_rates_and_acceleration(self):
         wl = worldline(CongruenceSpec("gal", 0.5), 1.0)
-        assert wl.angular_rate == pytest.approx(0.5, rel=1e-15)
+        # dphi/dt = u^phi / u^t and sqrt(-a.a) = -a^rho at rho = 1
+        assert wl.u[2] / wl.u[0] == pytest.approx(0.5, rel=1e-15)
         g = gamma_of(0.5)
-        assert wl.proper_acceleration == pytest.approx(g * g * 0.25, rel=1e-14)
+        assert -wl.a[1] == pytest.approx(g * g * 0.25, rel=1e-14)
+        np.testing.assert_array_equal(wl.a[[0, 2, 3]], 0.0)
         # u constant in the rotating basis: coordinate components are fixed
         np.testing.assert_allclose(wl.u, [g, 0.0, 0.5 * g, 0.0], rtol=1e-15)
 
     def test_tt_angular_rate(self):
         wl = worldline(CongruenceSpec("tt", 1.0), 1.0)
-        assert wl.angular_rate == pytest.approx(math.tanh(1.0), rel=1e-14)
+        assert wl.u[2] / wl.u[0] == pytest.approx(math.tanh(1.0), rel=1e-14)
 
     def test_static_worldline_has_no_acceleration(self):
         wl = worldline(CongruenceSpec("tt", 0.0), 2.0)
         assert np.all(wl.a == 0.0)
-        assert wl.proper_acceleration == 0.0
+        np.testing.assert_array_equal(wl.u, [1.0, 0.0, 0.0, 0.0])
 
     def test_closed_form_acceleration_matches_pipeline(self):
         for kind, omega in (("gal", 0.5), ("tt", 1.0)):
@@ -55,13 +57,6 @@ class TestWorldline:
             wl = worldline(spec, 1.3)
             numeric = acceleration(spec, Event(0.0, 1.3, 0.0)).components
             np.testing.assert_allclose(wl.a, numeric, atol=1e-9)
-
-    def test_events_advance_at_fixed_rates(self):
-        wl = worldline(CongruenceSpec("gal", 0.5), 1.0, t0=1.0, phi0=0.2)
-        e = wl.event(2.0)
-        assert e.t == pytest.approx(1.0 + wl.u[0] * 2.0, rel=1e-15)
-        assert e.phi == pytest.approx(0.2 + wl.u[2] * 2.0, rel=1e-15)
-        assert e.rho == 1.0
 
     def test_light_cylinder_guard(self):
         with pytest.raises(LightCylinderError):
@@ -223,14 +218,15 @@ class TestTransport:
             assert traj.taus[-1] == pytest.approx(1.0, rel=1e-15)
 
     def test_trajectory_states_carry_events(self):
+        # one sample per recorded step, the last one at the end of the span
         spec = CongruenceSpec("tt", 0.5)
         wl = worldline(spec, 1.0)
         e_r, _ = corotating_dyad(wl)
         traj = fw_transport(wl, e_r, 1.0, 64, n_samples=5)
-        final = traj.final
-        assert final.tau == pytest.approx(1.0, rel=1e-12)
-        assert final.event.rho == 1.0
-        assert final.S.components.shape == (4,)
+        assert traj.taus[0] == 0.0
+        assert traj.taus[-1] == pytest.approx(1.0, rel=1e-12)
+        assert traj.spins.shape == (5, 4)
+        np.testing.assert_array_equal(traj.spins[0], e_r)
 
 
 class TestPrecessionReports:
@@ -252,9 +248,11 @@ class TestPrecessionReports:
         )
 
     def test_fw_check_attached_and_consistent_for_gal(self):
-        rep = precession_per_revolution(CongruenceSpec("gal", 0.5), 1.0, fw_steps=20_000)
-        assert rep.fw_angle is not None
-        assert rep.fw_angle == pytest.approx(rep.delta_phi, abs=1e-7)
+        # the integrator angle, measured apart from the closed-form report
+        spec = CongruenceSpec("gal", 0.5)
+        rep = precession_per_revolution(spec, 1.0)
+        fw_angle = measure_precession_angle(spec, 1.0, 20_000)
+        assert fw_angle == pytest.approx(rep.delta_phi, abs=1e-7)
 
     def test_newtonian_limit(self):
         for kind in ("gal", "tt", "mtt"):
@@ -308,9 +306,3 @@ class TestCompare:
         gal, tt, mtt = compare_congruences(1.0, 1e-6)
         assert gal.vorticity == pytest.approx(tt.vorticity, rel=1e-9)
         assert tt.vorticity == mtt.vorticity
-
-    def test_fw_angles_inherited_by_mtt(self):
-        gal, tt, mtt = compare_congruences(1.0, 0.5, fw_steps=2_000)
-        assert gal.fw_angle is not None
-        assert tt.fw_angle is not None
-        assert mtt.fw_angle == tt.fw_angle
