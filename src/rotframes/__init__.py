@@ -33,7 +33,6 @@ from .errors import (
     RotframesError,
 )
 from .kinematics import (
-    DerivativeConfig,
     KinematicSample,
     VelocityField,
     acceleration,
@@ -77,7 +76,6 @@ __all__ = [
     "CongruenceSpec",
     "ConstraintDriftError",
     "DegenerateError",
-    "DerivativeConfig",
     "DomainError",
     "Event",
     "FourVector",

@@ -80,6 +80,8 @@ CSV_HEADER = (
 ROW_FIELDS = CSV_HEADER.split(",")
 
 SELF_CHECK_TOL = 1e-6
+# a three-kind sweep of this many steps peaks at about 450 MB RSS
+MAX_SWEEP_STEPS = 100_000
 PERTURB_ENV = "ROTFRAMES_SELF_CHECK_PERTURB"
 
 EXIT_OK = 0
@@ -262,6 +264,8 @@ def cmd_omega(args) -> int:
         raise UsageError("--rho-min must be smaller than --rho-max")
     if args.steps < 2:
         raise UsageError("--steps must be at least 2")
+    if args.steps > MAX_SWEEP_STEPS:
+        raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     perturb = _perturbation()
     rows = [

@@ -71,14 +71,27 @@ def _check_inside_light_cylinder(rho: float, spec: CongruenceSpec) -> None:
         )
 
 
+def _mapped(e: Event, spec: CongruenceSpec, t: float, phi: float) -> Event:
+    """The image (t, e.rho, phi, e.z) of e under a coordinate map.
+
+    Raises DomainError where t or phi left the float range.
+    """
+    if not (math.isfinite(t) and math.isfinite(phi)):
+        raise DomainError(
+            f"overflow mapping t = {e.t}, rho = {e.rho}, phi = {e.phi} at "
+            f"omega = {spec.omega}, c = {spec.c}: a value exceeds the float range"
+        )
+    return Event(t, e.rho, phi, e.z)
+
+
 def gal_map(e: Event, spec: CongruenceSpec) -> Event:
     """Rotating-frame coordinates of an event: phi' = phi - omega t."""
-    return Event(e.t, e.rho, e.phi - spec.omega * e.t, e.z)
+    return _mapped(e, spec, e.t, e.phi - spec.omega * e.t)
 
 
 def gal_inverse(e: Event, spec: CongruenceSpec) -> Event:
     """Inverse rotating-frame map; same map with omega negated."""
-    return Event(e.t, e.rho, e.phi + spec.omega * e.t, e.z)
+    return _mapped(e, spec, e.t, e.phi + spec.omega * e.t)
 
 
 def _overflow(rho: float, spec: CongruenceSpec) -> DomainError:
@@ -88,18 +101,14 @@ def _overflow(rho: float, spec: CongruenceSpec) -> DomainError:
     )
 
 
-def _tt_apply(e: Event, lam: float, c: float) -> Event:
+def _tt_apply(e: Event, spec: CongruenceSpec, lam: float) -> Event:
     try:
         ch, sh = math.cosh(lam), math.sinh(lam)
     except OverflowError:
         ch = sh = math.inf  # phi and t come out non-finite below
-    phi = e.phi * ch - e.t * (c / e.rho) * sh
-    t = e.t * ch - e.phi * (e.rho / c) * sh
-    if not (math.isfinite(phi) and math.isfinite(t)):
-        raise DomainError(
-            f"overflow at rapidity {lam}: a value exceeds the float range"
-        )
-    return Event(t, e.rho, phi, e.z)
+    phi = e.phi * ch - e.t * (spec.c / e.rho) * sh
+    t = e.t * ch - e.phi * (e.rho / spec.c) * sh
+    return _mapped(e, spec, t, phi)
 
 
 def tt_map(e: Event, spec: CongruenceSpec) -> Event:
@@ -108,12 +117,12 @@ def tt_map(e: Event, spec: CongruenceSpec) -> Event:
     At fixed rho this is a boost of the (c t, rho phi) plane with rapidity
     lambda = rho omega / c, so it preserves c^2 t^2 - rho^2 phi^2.
     """
-    return _tt_apply(e, rapidity(e.rho, spec), spec.c)
+    return _tt_apply(e, spec, rapidity(e.rho, spec))
 
 
 def tt_inverse(e: Event, spec: CongruenceSpec) -> Event:
     """Inverse Trocheris-Takeno map; the same boost with lambda negated."""
-    return _tt_apply(e, -rapidity(e.rho, spec), spec.c)
+    return _tt_apply(e, spec, -rapidity(e.rho, spec))
 
 
 # math's cosh and sinh over arrays: numpy's differ from them in the last
@@ -175,13 +184,14 @@ def _u_components(e: Event, spec: CongruenceSpec) -> np.ndarray:
     if spec.kind == GAL:
         _check_inside_light_cylinder(e.rho, spec)
         beta = spec.omega * e.rho / spec.c
-        gamma = 1.0 / math.sqrt(1.0 - beta * beta)
-        return np.array([gamma, 0.0, gamma * spec.omega, 0.0])
-    lam = rapidity(e.rho, spec)
-    try:
-        u_t, u_phi = math.cosh(lam), (spec.c / e.rho) * math.sinh(lam)
-    except OverflowError:
-        u_phi = math.inf
+        u_t = 1.0 / math.sqrt(1.0 - beta * beta)
+        u_phi = u_t * spec.omega
+    else:
+        lam = rapidity(e.rho, spec)
+        try:
+            u_t, u_phi = math.cosh(lam), (spec.c / e.rho) * math.sinh(lam)
+        except OverflowError:
+            u_phi = math.inf
     if not math.isfinite(u_phi):
         raise _overflow(e.rho, spec)
     return np.array([u_t, 0.0, u_phi, 0.0])
@@ -262,12 +272,13 @@ def omega_closed_form(rho: float, spec: CongruenceSpec) -> float:
     if spec.kind == GAL:
         _check_inside_light_cylinder(rho, spec)
         beta = spec.omega * rho / spec.c
-        return spec.omega / (1.0 - beta * beta)
-    lam = rho * spec.omega / spec.c
-    try:
-        value = (spec.c / (2.0 * rho)) * (math.sinh(lam) * math.cosh(lam) + lam)
-    except OverflowError:
-        value = math.inf
+        value = spec.omega / (1.0 - beta * beta)
+    else:
+        lam = rho * spec.omega / spec.c
+        try:
+            value = (spec.c / (2.0 * rho)) * (math.sinh(lam) * math.cosh(lam) + lam)
+        except OverflowError:
+            value = math.inf
     if not math.isfinite(value):
         raise _overflow(rho, spec)
     return value

@@ -1,13 +1,13 @@
 """Acceleration and vorticity of a timelike congruence.
 
 The pipeline differentiates the four-velocity field numerically (central
-differences, optionally with one Richardson extrapolation level), so it
+differences, always with one Richardson extrapolation level), so it
 works for any congruence supplied as u(event), not just the built-in
 ones, whose closed forms (congruences.omega_closed_form) it is checked
 against. Everything runs on arrays of events: one stencil of four points per
-axis (two without Richardson) around every event is evaluated, together
-with the events themselves, in one field call, and a call at a single
-event is a batch of one.
+axis around every event is evaluated, together with the events
+themselves, in one field call, and a call at a single event is a batch of
+one. The step follows from the radius alone (_step).
 
 Each event gets one Jacobian, that of the lowered field,
 du[a, b] = d_b u_a. The metric is diagonal and depends only on rho, so
@@ -16,8 +16,8 @@ the contravariant Jacobian follows from it by the product rule
     d_b u^a = (d_b u_a - delta_b^rho (d_rho g_a) u^a) / g_a,
 
 and the acceleration, the vorticity tensor and both vorticity routes are
-computed from that one Jacobian (17 field evaluations per event with
-Richardson: 16 stencil points and the event itself). The two routes to
+computed from that one Jacobian (17 field evaluations per event: 16
+stencil points and the event itself). The two routes to
 the vorticity vector are
 
 * direct: contract the permutation symbol with u and the comma
@@ -83,43 +83,10 @@ _PERM_SIGN = LEVI_CIVITA[tuple(_PERM.T)].astype(float)
 _PERM_B = _PERM[:, 1]
 _PERM_DG = 4 * _PERM[:, 3] + _PERM[:, 2]
 
-_METHODS = ("central", "extrapolated")
-
 # stencil offsets per axis in units of the step: +-h, then +-h/2 for Richardson
-_CENTRAL = np.array([1.0, -1.0])
 _RICHARDSON = np.array([1.0, -1.0, 0.5, -0.5])
 _EYE = np.eye(4)
 _UPPER = np.triu(np.ones((4, 4)), 1)
-
-
-@dataclass(frozen=True)
-class DerivativeConfig:
-    """How to differentiate the velocity field.
-
-    step = None picks 1e-4 * max(rho, 1) at the evaluation point, which
-    balances the h^4 truncation of the extrapolated method against the
-    eps/h rounding floor of the difference quotients. The extrapolated
-    method applies one Richardson level to the central difference,
-    cancelling the h^2 error term.
-    """
-
-    method: str = "extrapolated"
-    step: float | None = None
-
-    def __post_init__(self):
-        if self.method not in _METHODS:
-            raise ValueError(f"method must be one of {_METHODS}, got {self.method!r}")
-        if self.step is not None and not self.step > 0.0:
-            raise ValueError(f"step must be positive, got {self.step}")
-
-    def resolve_step(self, rho):
-        """The step at radius rho, or at each radius of an array."""
-        if self.step is not None:
-            return np.full(np.shape(rho), self.step)
-        return 1e-4 * np.maximum(rho, 1.0)
-
-
-_DEFAULT = DerivativeConfig()
 
 
 @dataclass(frozen=True)
@@ -173,6 +140,15 @@ def _field_rows(spec: FieldLike) -> tuple[Callable[[np.ndarray], np.ndarray], fl
     return partial(_u_rows, spec=spec), spec.c
 
 
+def _step(rho: np.ndarray) -> np.ndarray:
+    """The difference step at each radius: 1e-4 * max(rho, 1).
+
+    It balances the h^4 truncation error of the Richardson-extrapolated
+    difference against the eps / h rounding floor of its quotients.
+    """
+    return 1e-4 * np.maximum(rho, 1.0)
+
+
 def _stencil_fits(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Which radii keep the whole stencil off the axis (and inside a gal cylinder)."""
     fits = rho - h > 0.0
@@ -197,31 +173,26 @@ def _guard_stencil(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> None:
     )
 
 
-def _fd_matrix(
-    fn, x: np.ndarray, h: np.ndarray, extrapolate: bool
-) -> tuple[np.ndarray, np.ndarray]:
+def _fd_matrix(fn, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """D[n, a, b] = d f_a / d x^b at each row of x, an (n, 4) coordinate array,
     and f at the rows of x.
 
     h holds one step per row. fn maps (m, 4) coordinate rows to (m, 4)
-    values and is called once, on the whole (n, 4 axes, offsets, 4)
-    stencil (+-h per axis, and +-h/2 as well for the Richardson level)
-    followed by the rows of x.
+    values and is called once, on the whole (n, 4 axes, 4 offsets, 4)
+    stencil (+-h and +-h/2 per axis) followed by the rows of x. One
+    Richardson level combines the central differences at h and h/2.
     """
     n = len(x)
-    frac = _RICHARDSON if extrapolate else _CENTRAL
-    offsets = h[:, None] * frac
+    offsets = h[:, None] * _RICHARDSON
     # adding 0.0 to the other coordinates leaves them bit-identical
     stencil = x[:, None, None, :] + _EYE[None, :, None, :] * offsets[:, None, :, None]
     values = fn(np.concatenate([stencil.reshape(-1, 4), x]))
-    f = values[: 4 * len(frac) * n].reshape(n, 4, len(frac), 4)
+    f = values[: 16 * n].reshape(n, 4, 4, 4)
     h = h[:, None, None]
-    d = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h)
-    if extrapolate:
-        # 2 * (h / 2) is h exactly
-        d2 = (f[:, :, 2] - f[:, :, 3]) / h
-        d = (4.0 * d2 - d) / 3.0
-    return d.transpose(0, 2, 1), values[4 * len(frac) * n :]
+    d1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h)
+    # 2 * (h / 2) is h exactly
+    d2 = (f[:, :, 2] - f[:, :, 3]) / h
+    return ((4.0 * d2 - d1) / 3.0).transpose(0, 2, 1), values[16 * n :]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -230,7 +201,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _jet(spec: FieldLike, x: np.ndarray, h: np.ndarray, extrapolate: bool) -> _Jet:
+def _jet(spec: FieldLike, x: np.ndarray, h: np.ndarray) -> _Jet:
     """u, g, u_low and the lowered Jacobian at each row of x, an (n, 4) array.
 
     h holds one step per row; the stencils must fit (see _stencil_fits).
@@ -244,17 +215,16 @@ def _jet(spec: FieldLike, x: np.ndarray, h: np.ndarray, extrapolate: bool) -> _J
     def lowered(y: np.ndarray) -> np.ndarray:
         return metric_diag(y[:, 1], c) * u_rows(y)
 
-    du, u_low = _fd_matrix(lowered, x, h, extrapolate)
+    du, u_low = _fd_matrix(lowered, x, h)
     g = metric_diag(rho, c)
     return _Jet(rho, c, u_low / g, g, u_low, du)
 
 
-def _at(spec: FieldLike, event: Event, cfg: DerivativeConfig | None) -> _Jet:
-    cfg = cfg or _DEFAULT
+def _at(spec: FieldLike, event: Event) -> _Jet:
     x = np.array([[event.t, event.rho, event.phi, event.z]])
-    h = cfg.resolve_step(x[:, 1])
+    h = _step(x[:, 1])
     _guard_stencil(spec, x[:, 1], h)
-    return _jet(spec, x, h, cfg.method == "extrapolated")
+    return _jet(spec, x, h)
 
 
 def _contravariant_jacobian(jet: _Jet) -> np.ndarray:
@@ -324,81 +294,68 @@ def _quiet(fn):
 
 
 @_quiet
-def partial_derivatives_u(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> np.ndarray:
+def partial_derivatives_u(spec: FieldLike, event: Event) -> np.ndarray:
     """Comma derivatives of the lowered field: du[a, b] = d_b u_a.
 
     Rows index the component, columns the differentiation coordinate in
     the (t, rho, phi, z) order.
     """
-    return _finite(_at(spec, event, cfg).du)[0]
+    return _finite(_at(spec, event).du)[0]
 
 
 @_quiet
-def acceleration(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> FourVector:
+def acceleration(spec: FieldLike, event: Event) -> FourVector:
     """Contravariant acceleration u_dot^a = u^b (d_b u^a + Gamma^a_bg u^g)."""
-    jet = _at(spec, event, cfg)
+    jet = _at(spec, event)
     a = _acceleration_rows(jet, _christoffel(jet.rho))
     return FourVector(_finite(a)[0], CONTRAVARIANT)
 
 
 @_quiet
-def vorticity_tensor(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> np.ndarray:
+def vorticity_tensor(spec: FieldLike, event: Event) -> np.ndarray:
     """Covariant vorticity tensor w_ab, exactly antisymmetric.
 
     w_ab = (u_{a;b} - u_{b;a}) / 2 - (u_dot_a u_b - u_dot_b u_a) / (2 c^2);
     the acceleration term makes w_ab u^b vanish for any normalization.
     """
-    jet = _at(spec, event, cfg)
+    jet = _at(spec, event)
     gam = _christoffel(jet.rho)
     return _finite(_tensor_rows(jet, gam, _acceleration_rows(jet, gam)))[0]
 
 
 @_quiet
-def vorticity_vector_direct(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> FourVector:
+def vorticity_vector_direct(spec: FieldLike, event: Event) -> FourVector:
     """Vorticity vector from the permutation symbol and comma derivatives."""
-    jet = _at(spec, event, cfg)
+    jet = _at(spec, event)
     return FourVector(_finite(_eps_contract(jet, jet.du))[0], CONTRAVARIANT)
 
 
 @_quiet
-def vorticity_vector_from_tensor(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> FourVector:
+def vorticity_vector_from_tensor(spec: FieldLike, event: Event) -> FourVector:
     """Vorticity vector obtained by contracting the vorticity tensor.
 
     Must agree with the direct route: the connection and acceleration
     pieces of the tensor drop out under the eps-contraction with u.
     """
-    jet = _at(spec, event, cfg)
+    jet = _at(spec, event)
     gam = _christoffel(jet.rho)
     w = _tensor_rows(jet, gam, _acceleration_rows(jet, gam))
     return FourVector(_finite(_eps_contract(jet, w))[0], CONTRAVARIANT)
 
 
 @_quiet
-def _scalar_rows(
-    spec: FieldLike, x: np.ndarray, cfg: DerivativeConfig | None = None
-) -> np.ndarray:
+def _scalar_rows(spec: FieldLike, x: np.ndarray) -> np.ndarray:
     """Vorticity scalar at each row of x, an (n, 4) coordinate array.
 
     A row is nan where its stencil does not fit (off the chart, or across
     the gal light cylinder) or where a value is not finite. The field is
     called once, on the rows that fit.
     """
-    cfg = cfg or _DEFAULT
-    h = cfg.resolve_step(x[:, 1])
+    h = _step(x[:, 1])
     fits = _stencil_fits(spec, x[:, 1], h)
     out = np.full(len(x), np.nan)
     if fits.any():
-        jet = _jet(spec, x[fits], h[fits], cfg.method == "extrapolated")
+        jet = _jet(spec, x[fits], h[fits])
         scalar = _norm_rows(jet, _eps_contract(jet, jet.du))
         finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(scalar)
         out[fits] = np.where(finite, scalar, np.nan)
@@ -406,37 +363,30 @@ def _scalar_rows(
 
 
 @_quiet
-def vorticity_scalars(
-    spec: FieldLike, coords: np.ndarray, cfg: DerivativeConfig | None = None
-) -> np.ndarray:
+def vorticity_scalars(spec: FieldLike, coords: np.ndarray) -> np.ndarray:
     """Vorticity scalar at each row (t, rho, phi, z) of an (n, 4) array.
 
     Raises DomainError if any row's stencil leaves the chart or crosses
     the gal light cylinder, or if a value overflows.
     """
     x = np.asarray(coords, dtype=float).reshape(-1, 4)
-    _guard_stencil(spec, x[:, 1], (cfg or _DEFAULT).resolve_step(x[:, 1]))
-    return _finite(_scalar_rows(spec, x, cfg))
+    _guard_stencil(spec, x[:, 1], _step(x[:, 1]))
+    return _finite(_scalar_rows(spec, x))
 
 
-def vorticity_scalar(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> float:
+def vorticity_scalar(spec: FieldLike, event: Event) -> float:
     """Magnitude sqrt(-w.w) of the (spacelike) vorticity vector."""
     coords = [[event.t, event.rho, event.phi, event.z]]
-    return float(vorticity_scalars(spec, coords, cfg)[0])
+    return float(vorticity_scalars(spec, coords)[0])
 
 
 @_quiet
-def kinematic_sample(
-    spec: FieldLike, event: Event, cfg: DerivativeConfig | None = None
-) -> KinematicSample:
+def kinematic_sample(spec: FieldLike, event: Event) -> KinematicSample:
     """Evaluate the full kinematic state of the congruence at one event.
 
-    One Jacobian serves every field of the sample (17 field evaluations
-    with the default Richardson step).
+    One Jacobian serves every field of the sample (17 field evaluations).
     """
-    jet = _at(spec, event, cfg)
+    jet = _at(spec, event)
     gam = _christoffel(jet.rho)
     u_dot = _finite(_acceleration_rows(jet, gam))
     w_vec = _finite(_eps_contract(jet, jet.du))

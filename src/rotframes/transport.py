@@ -43,6 +43,7 @@ from .congruences import (
     MTT,
     TT,
     CongruenceSpec,
+    _overflow,
     _u_components,
     omega_closed_form,
     proper_time_rate,
@@ -54,6 +55,9 @@ from .tensors import PHI, T, Event, _christoffel, metric_diag
 #: Scaled constraint-drift bound (|S.u| or relative S.S change) above
 #: which a transport run is rejected mid-flight.
 DRIFT_LIMIT = 1e-6
+
+#: Most spin samples measure_precession_angle records (32 MiB of spins).
+MAX_SAMPLES = 2**20
 
 
 @dataclass(frozen=True, eq=False)
@@ -108,10 +112,16 @@ class PrecessionReport:
 
 
 def worldline(spec: CongruenceSpec, rho: float) -> Worldline:
-    """Build the circular worldline of the fixed point at radius rho."""
+    """Build the circular worldline of the fixed point at radius rho.
+
+    Raises DomainError where u or the acceleration leaves the float range.
+    """
     u = _u_components(Event(0.0, rho, 0.0), spec)
     a = np.zeros(4)
-    a[1] = -rho * u[PHI] ** 2
+    with np.errstate(over="ignore"):
+        a[1] = -rho * u[PHI] ** 2
+    if not np.isfinite(a[1]):
+        raise _overflow(rho, spec)
     return Worldline(spec=spec, rho=rho, u=u, a=a)
 
 
@@ -174,7 +184,10 @@ def fw_transport(
         raise ValueError(f"tau_span must be positive, got {tau_span}")
     s = np.asarray(s0, dtype=float)
     c = wl.spec.c
-    g = metric_diag(wl.rho, c)
+    with np.errstate(over="ignore"):
+        g = metric_diag(wl.rho, c)
+    if not np.isfinite(g).all():
+        raise DomainError(f"metric leaves the float range at rho = {wl.rho}, c = {c}")
     s_norm2 = -float(s @ (g * s))
     if not s_norm2 > 0.0:
         raise ValueError("initial spin must be spacelike")
@@ -186,7 +199,7 @@ def fw_transport(
     n_rec = min(int(n_samples), steps + 1)
     record_idx = np.unique(np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
     # overflow is checked below, on the generator and on the drift
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         m = transport_generator(wl)
         if not np.isfinite(m).all():
             raise DomainError("transport generator overflows the float range")
@@ -210,24 +223,32 @@ def proper_period(spec: CongruenceSpec, rho: float) -> float:
     return revolution_period(rho, spec) * proper_time_rate(rho, spec)
 
 
-def measure_precession_angle(
-    spec: CongruenceSpec,
-    rho: float,
-    steps: int,
-    revolutions: float = 1.0,
-    n_samples: int = 2049,
-) -> float:
+def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> float:
     """Integrator-measured rotation of the spin against the rotating dyad.
 
-    Starts the spin along the radial dyad leg, transports it for the given
-    number of revolutions and returns the unwrapped angle swept by its
-    projection onto the orbit plane.
+    Starts the spin along the radial dyad leg, transports it for one
+    revolution and returns the unwrapped angle swept by its projection
+    onto the orbit plane. The spin turns through 2 pi u^t against the
+    dyad, and np.unwrap needs samples less than pi apart, so the spin is
+    sampled every pi / 4 or closer: 2049 samples, more above u^t = 256,
+    never more than one per step. Raises DomainError where that takes
+    more than MAX_SAMPLES samples (u^t above about 131000).
     """
     wl = worldline(spec, rho)
-    e_r, e_p = corotating_dyad(wl)
+    u_t = float(wl.u[T])
+    # min(..., steps) keeps 8 u^t finite for math.ceil
+    n_samples = min(steps + 1, max(2049, math.ceil(min(8.0 * u_t, steps)) + 1))
+    if n_samples > MAX_SAMPLES:
+        raise DomainError(
+            f"one revolution at u^t = {u_t:.6g} takes {n_samples} spin samples, "
+            f"more than {MAX_SAMPLES}: rho = {rho}, omega = {spec.omega}, c = {spec.c}"
+        )
+    # the dyad's radial leg; the dyad itself is built after the transport,
+    # whose DomainError comes first where c * c underflows
+    e_r = np.array([0.0, 1.0, 0.0, 0.0])
+    traj = fw_transport(wl, e_r, proper_period(spec, rho), steps, n_samples)
+    _, e_p = corotating_dyad(wl)
     g = metric_diag(rho, spec.c)
-    traj = fw_transport(wl, e_r.copy(), revolutions * proper_period(spec, rho), steps,
-                        n_samples=n_samples)
     # minus signs: spatial legs have e.e = -1
     comp_r = -traj.spins @ (g * e_r)
     comp_p = -traj.spins @ (g * e_p)

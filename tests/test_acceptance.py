@@ -14,7 +14,6 @@ import pytest
 
 from rotframes import (
     CongruenceSpec,
-    DerivativeConfig,
     Event,
     LightCylinderError,
     acceleration,

@@ -240,6 +240,25 @@ class TestPrecess:
         expected = -2.0 * math.pi / float(rows[0]["dtau_dt"])
         assert float(rows[0]["fw_measured"]) == pytest.approx(expected, abs=1e-9)
 
+    def test_fw_check_at_high_rapidity(self, capsys):
+        # fw_measured was 3503.0067..., the angle folded by np.unwrap
+        code, out, _ = run(
+            capsys,
+            ["precess", "--kind", "tt", "--rho", "8", "--omega", "1",
+             "--fw-check", "10000000"],
+        )
+        assert code == 0
+        _, rows = parse_csv(out)
+        expected = -2.0 * math.pi * math.cosh(8.0)
+        assert float(rows[0]["fw_measured"]) == pytest.approx(expected, rel=1e-9)
+        code, out, err = run(
+            capsys,
+            ["precess", "--kind", "tt", "--rho", "13", "--omega", "1",
+             "--fw-check", "1000000000"],
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "spin samples" in err
+
     def test_fw_check_step_range_is_usage_error(self, capsys):
         for steps in ("15", str(2**53 + 1), "10" * 20):
             code, _, err = run(
@@ -249,6 +268,19 @@ class TestPrecess:
             )
             assert code == 64, steps
             assert "Traceback" not in err
+
+
+class TestSweepSize:
+    @pytest.mark.parametrize("steps", [str(10**15), "10" * 20])
+    def test_huge_steps_is_usage_error(self, capsys, steps):
+        # np.linspace raised _ArrayMemoryError for 10**15 (exit 1)
+        code, out, err = run(
+            capsys,
+            ["omega", "--kind", "gal", "--omega", "0.5", "--rho-min", "0.1",
+             "--rho-max", "1", "--steps", steps],
+        )
+        assert code == 64 and out == ""
+        assert err == "rotframes: error: --steps must be at most 100000\n"
 
 
 class TestCompare:
@@ -527,6 +559,21 @@ class TestOverflow:
         assert code == 2 and err.startswith("self-check failed: rel_err 1.000e+00")
         _, rows = parse_csv(out)
         assert [r["status"] for r in rows] == ["ok"] * 3
+
+    @pytest.mark.parametrize("argv", [
+        ["--map", "gal", "--rho", "1", "--omega", "1e308", "--t", "1e10"],
+        ["--map", "gal", "--direction", "inv", "--rho", "1", "--omega", "1e308",
+         "--t", "1e10"],
+        # c / rho overflows, not the rapidity 1e-310
+        ["--map", "tt", "--rho", "1e-310", "--omega", "1", "--t", "1"],
+        ["--map", "tt", "--rho", "1000", "--omega", "1"],
+    ])
+    def test_transform_overflow_names_the_inputs(self, capsys, argv):
+        code, out, err = run(capsys, ["transform"] + argv)
+        assert code == 3 and out == "" and err.count("\n") == 1
+        assert "rapidity" not in err
+        for name in ("overflow mapping t = ", "rho = ", "phi = ", "omega = ", "c = "):
+            assert name in err
 
     def test_transform_is_domain_error_exit(self, capsys):
         code, out, err = run(

@@ -6,7 +6,6 @@ import pytest
 
 from rotframes import (
     CongruenceSpec,
-    DerivativeConfig,
     DomainError,
     Event,
     LightCylinderError,
@@ -59,50 +58,31 @@ class TestPartialDerivatives:
         for axis in (T, PHI, Z):
             assert np.max(np.abs(du[:, axis])) < 1e-11
 
-    @pytest.mark.parametrize(
-        "method,tol", [("central", 1e-8), ("extrapolated", 1e-11)]
-    )
-    def test_gal_against_analytic_oracle(self, method, tol):
+    @pytest.mark.parametrize("tol", [pytest.param(1e-11, id="extrapolated-1e-11")])
+    def test_gal_against_analytic_oracle(self, tol):
         rho, omega, c = 1.0, 0.5, 1.0
         spec = CongruenceSpec("gal", omega, c)
-        du = partial_derivatives_u(
-            spec, Event(0.0, rho, 0.0), DerivativeConfig(method=method)
-        )
+        du = partial_derivatives_u(spec, Event(0.0, rho, 0.0))
         du_t, du_phi = gal_lowered_partials(rho, omega, c)
         assert du[T, RHO] == pytest.approx(du_t, abs=tol)
         assert du[PHI, RHO] == pytest.approx(du_phi, abs=tol)
 
-    @pytest.mark.parametrize(
-        "method,tol", [("central", 1e-8), ("extrapolated", 1e-11)]
-    )
-    def test_tt_against_analytic_oracle(self, method, tol):
+    @pytest.mark.parametrize("tol", [pytest.param(1e-11, id="extrapolated-1e-11")])
+    def test_tt_against_analytic_oracle(self, tol):
         rho, omega, c = 1.4, 0.8, 1.2
         spec = CongruenceSpec("tt", omega, c)
-        du = partial_derivatives_u(
-            spec, Event(0.0, rho, 0.0), DerivativeConfig(method=method)
-        )
+        du = partial_derivatives_u(spec, Event(0.0, rho, 0.0))
         du_t, du_phi = tt_lowered_partials(rho, omega, c)
         assert du[T, RHO] == pytest.approx(du_t, abs=tol)
         assert du[PHI, RHO] == pytest.approx(du_phi, abs=tol)
 
     def test_stencil_guards(self):
+        # the step is 1e-4 at both radii
         spec = CongruenceSpec("gal", 1.0)
-        with pytest.raises(DomainError):
-            partial_derivatives_u(
-                spec, Event(0.0, 0.9999999, 0.0), DerivativeConfig(step=1e-3)
-            )
-        with pytest.raises(DomainError):
-            partial_derivatives_u(
-                CongruenceSpec("tt", 1.0),
-                Event(0.0, 1e-7, 0.0),
-                DerivativeConfig(step=1e-3),
-            )
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            DerivativeConfig(method="spectral")
-        with pytest.raises(ValueError):
-            DerivativeConfig(step=0.0)
+        with pytest.raises(DomainError, match="light cylinder"):
+            partial_derivatives_u(spec, Event(0.0, 0.9999999, 0.0))
+        with pytest.raises(DomainError, match="chart"):
+            partial_derivatives_u(CongruenceSpec("tt", 1.0), Event(0.0, 1e-7, 0.0))
 
 
 class TestAcceleration:
@@ -283,10 +263,16 @@ class TestVorticityScalar:
                 assert abs(ratio - 1.0) < 1e-5
 
     def test_halving_step_is_stable(self):
+        from rotframes.kinematics import _eps_contract, _jet, _norm_rows
+
         spec = CongruenceSpec("tt", 0.7)
-        e = Event(0.0, 1.3, 0.0)
-        coarse = vorticity_scalar(spec, e, DerivativeConfig(step=2e-4))
-        fine = vorticity_scalar(spec, e, DerivativeConfig(step=1e-4))
+        x = np.array([[0.0, 1.3, 0.0, 0.0]])
+
+        def scalar(h):
+            jet = _jet(spec, x, np.array([h]))
+            return float(_norm_rows(jet, _eps_contract(jet, jet.du))[0])
+
+        coarse, fine = scalar(2e-4), scalar(1e-4)
         assert abs(coarse - fine) / fine < 1e-9
 
 
@@ -374,10 +360,6 @@ class TestOneJacobian:
 
         kinematic_sample(VelocityField(u_fn), Event(0.3, 1.1, -0.2))
         assert len(calls) == 17
-        calls.clear()
-        kinematic_sample(VelocityField(u_fn), Event(0.3, 1.1, -0.2),
-                         DerivativeConfig(method="central"))
-        assert len(calls) == 9
 
     def test_sample_matches_the_single_quantity_functions(self):
         for i, (spec, e) in enumerate(_events(29, 40)):
@@ -394,26 +376,24 @@ class TestOneJacobian:
             assert s.vorticity_scalar == pytest.approx(vorticity_scalar(field, e),
                                                        rel=1e-12)
 
-    @pytest.mark.parametrize("method", ["central", "extrapolated"])
-    def test_product_rule_matches_differencing_u_up(self, method):
+    @pytest.mark.parametrize("tol", [pytest.param(1e-9, id="extrapolated")])
+    def test_product_rule_matches_differencing_u_up(self, tol):
         # reference: difference the contravariant field itself
         from rotframes.kinematics import (
             _at,
             _contravariant_jacobian,
             _fd_matrix,
             _field_rows,
+            _step,
         )
 
-        cfg = DerivativeConfig(method=method)
         for spec, e in _events(31, 30):
-            jet = _at(spec, e, cfg)
+            jet = _at(spec, e)
             u_rows, _ = _field_rows(spec)
             x = e.coords()[None, :]
-            ref, _ = _fd_matrix(u_rows, x, cfg.resolve_step(x[:, 1]),
-                                method == "extrapolated")
+            ref, _ = _fd_matrix(u_rows, x, _step(x[:, 1]))
             ref = ref[0]
             scale = max(1.0, float(np.max(np.abs(ref))))
-            tol = 1e-6 if method == "central" else 1e-9
             np.testing.assert_allclose(_contravariant_jacobian(jet)[0], ref,
                                        rtol=0.0, atol=tol * scale)
 
@@ -449,9 +429,9 @@ class TestScalarRows:
         sizes = []
         real = kinematics._fd_matrix
 
-        def counted(fn, x, h, extrapolate):
+        def counted(fn, x, h):
             sizes.append(len(x))
-            return real(fn, x, h, extrapolate)
+            return real(fn, x, h)
 
         monkeypatch.setattr(kinematics, "_fd_matrix", counted)
         return sizes

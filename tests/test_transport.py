@@ -161,6 +161,31 @@ class TestTransport:
         angle = measure_precession_angle(spec, 1.0, steps=20_000)
         assert angle == pytest.approx(-2.0 * math.pi * math.cosh(1.0), abs=1e-8)
 
+    @pytest.mark.parametrize("kind, rho, steps, rel", [
+        ("tt", 8.0, 10**7, 1e-9),
+        # the generator's rate Omega^2 = -tr(M^2) / 2 sums terms (u^t)^2
+        # times larger, so it is good to about eps (u^t)^2 = 1.4e-8 here
+        ("tt", 10.0, 10**7, 1e-8),
+        ("gal", 0.9999999, 10**9, 1e-9),
+    ])
+    def test_angle_does_not_alias_at_high_u_t(self, kind, rho, steps, rel):
+        # the spin turns 2 pi u^t per revolution; with 2049 samples at any
+        # u^t, np.unwrap folded it once u^t passed about 512
+        spec = CongruenceSpec(kind, 1.0)
+        exact = -2.0 * math.pi * worldline(spec, rho).u[0]
+        angle = measure_precession_angle(spec, rho, steps)
+        assert angle == pytest.approx(exact, rel=rel)
+
+    def test_sample_bound_is_domain_error(self):
+        # u^t = cosh 13 needs 8 u^t + 1 = 1769655 samples
+        spec = CongruenceSpec("tt", 1.0)
+        with pytest.raises(DomainError, match="takes 1769655 spin samples, more than"):
+            measure_precession_angle(spec, 13.0, 10**9)
+        # where c * c underflows, the generator's DomainError comes without
+        # a warning from the dyad
+        with pytest.raises(DomainError, match="generator"):
+            measure_precession_angle(CongruenceSpec("tt", 1e-200, 1e-200), 1.0, 1000)
+
     def test_constraints_preserved_over_revolution(self):
         spec = CongruenceSpec("gal", 0.6)
         wl = worldline(spec, 1.2)
