@@ -52,11 +52,9 @@ from . import __version__
 from .congruences import (
     KINDS,
     CongruenceSpec,
-    fixed_point_speed,
     gal_inverse,
     gal_map,
     omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
-    proper_time_rate,
     tt_inverse,
     tt_map,
 )
@@ -145,20 +143,14 @@ def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
     return ReportRow(kind, rho, lam, *_NANS, status)
 
 
-def _closed_columns(spec: CongruenceSpec, rho: float) -> tuple:
-    """(omega_closed, v, dtau_dt, delta_phi_prime, thomas_net) at one radius."""
-    report = precession_per_revolution(spec, rho)
-    return (report.vorticity, fixed_point_speed(rho, spec), proper_time_rate(rho, spec),
-            report.delta_phi, report.net_angle)
-
-
 def compute_rows(kind: str, rhos, omega: float, c: float,
                  perturb: float = 0.0) -> list[ReportRow]:
     """Evaluate grid points of one kind; domain failures become marked rows.
 
-    Closed-form columns are computed per row; a row whose closed form
-    raises LightCylinderError is marked light_cylinder, and one that
-    raises another DomainError domain_error. The numeric scalar comes
+    The closed-form columns of a row come from one
+    precession_per_revolution report; a row whose report raises
+    LightCylinderError is marked light_cylinder, and one that raises
+    another DomainError domain_error. The numeric scalar comes
     from one kinematics._scalar_rows call over the other rows, multiplied
     by (1 + perturb); a row it gives as nan (stencil does not fit, value
     not finite) is marked domain_error too.
@@ -168,26 +160,27 @@ def compute_rows(kind: str, rhos, omega: float, c: float,
     for rho in map(float, rhos):
         lam = rho * omega / c
         try:
-            closed = _closed_columns(spec, rho)
+            report = precession_per_revolution(spec, rho)
         except LightCylinderError:
             rows.append(_marked_row(kind, rho, lam, "light_cylinder"))
             continue
         except DomainError:
             rows.append(_marked_row(kind, rho, lam, "domain_error"))
             continue
-        pending.append((len(rows), rho, lam, closed))
+        pending.append((len(rows), lam, report))
         rows.append(None)
     coords = np.zeros((len(pending), 4))
-    coords[:, 1] = [p[1] for p in pending]
+    coords[:, 1] = [report.rho for _, _, report in pending]
     scalars = _scalar_rows(spec, coords).tolist()
-    for (i, rho, lam, closed), scalar in zip(pending, scalars):
+    for (i, lam, report), scalar in zip(pending, scalars):
         if math.isnan(scalar):
-            rows[i] = _marked_row(kind, rho, lam, "domain_error")
+            rows[i] = _marked_row(kind, report.rho, lam, "domain_error")
             continue
-        value, v, dtau_dt, delta_phi, net = closed
         scalar *= 1.0 + perturb
-        rows[i] = ReportRow(kind, rho, lam, scalar, value, abs(scalar - value) / value,
-                            v, dtau_dt, delta_phi, net)
+        closed = report.vorticity
+        rows[i] = ReportRow(kind, report.rho, lam, scalar, closed,
+                            abs(scalar - closed) / closed, report.speed,
+                            report.dtau_dt, report.delta_phi, report.net_angle)
     return rows
 
 
@@ -301,11 +294,11 @@ def cmd_compare(args) -> int:
 
 def cmd_precess(args) -> int:
     spec = CongruenceSpec(args.kind, args.omega, args.c)
-    # single-point command: a closed-form DomainError (the light cylinder
-    # among them) reaches the user with its own message
-    precession_per_revolution(spec, args.rho)
     row = compute_row(args.kind, args.rho, args.omega, args.c, _perturbation())
     if row.status != "ok":
+        # single-point command: a closed-form DomainError (the light
+        # cylinder among them) reaches the user with its own message
+        precession_per_revolution(spec, args.rho)
         raise DomainError(
             f"point not numerically evaluable: rho = {args.rho}, "
             f"omega = {args.omega}, c = {args.c}"

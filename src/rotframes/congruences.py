@@ -15,6 +15,14 @@ the light speed c:
   README caveat); the identifier stays distinct so the two families can
   diverge if an explicit map is adopted later.
 
+The closed forms of a fixed point (four-velocity, speed, proper time
+rate, vorticity scalar) come from one evaluation per radius,
+_fixed_point, which holds the one block per kind and the domain checks.
+fixed_point_speed, proper_time_rate, revolution_period and
+omega_closed_form read their value from it, and a value past the float
+range becomes one DomainError (_in_range). _u_rows is its array twin for
+the four-velocity.
+
 All operations are pure functions; a CongruenceSpec is immutable, so
 parameter sweeps can evaluate concurrently without coordination.
 """
@@ -23,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -178,23 +187,12 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
 def _u_components(e: Event, spec: CongruenceSpec) -> np.ndarray:
     """Contravariant four-velocity components of the fixed point through e.
 
-    The one-event form of _u_rows, kept in scalar math because a batch of
-    one costs about five times as much and four_velocity runs per event.
+    The one-event form of _u_rows, read from _fixed_point in scalar math
+    because a batch of one costs about five times as much and
+    four_velocity runs per event.
     """
-    if spec.kind == GAL:
-        _check_inside_light_cylinder(e.rho, spec)
-        beta = spec.omega * e.rho / spec.c
-        u_t = 1.0 / math.sqrt(1.0 - beta * beta)
-        u_phi = u_t * spec.omega
-    else:
-        lam = rapidity(e.rho, spec)
-        try:
-            u_t, u_phi = math.cosh(lam), (spec.c / e.rho) * math.sinh(lam)
-        except OverflowError:
-            u_phi = math.inf
-    if not math.isfinite(u_phi):
-        raise _overflow(e.rho, spec)
-    return np.array([u_t, 0.0, u_phi, 0.0])
+    fp = _fixed_point(e.rho, spec)
+    return np.array([fp.u_t, 0.0, _in_range(fp.u_phi, e.rho, spec), 0.0])
 
 
 def four_velocity(e: Event, spec: CongruenceSpec) -> FourVector:
@@ -202,14 +200,79 @@ def four_velocity(e: Event, spec: CongruenceSpec) -> FourVector:
     return FourVector(_u_components(e, spec), CONTRAVARIANT)
 
 
-def fixed_point_speed(rho: float, spec: CongruenceSpec) -> float:
-    """Lab-frame speed of the congruence fixed point at radius rho."""
+class _FixedPoint(NamedTuple):
+    """The closed forms of the fixed point at one radius.
+
+    A value past the float range is inf or nan here; _in_range turns it
+    into the overflow DomainError where a caller reads it.
+    """
+
+    u_t: float
+    u_phi: float
+    speed: float
+    dtau_dt: float
+    vorticity: float
+
+
+def _fixed_point(rho: float, spec: CongruenceSpec) -> _FixedPoint:
+    """Evaluate every closed form of the fixed point at radius rho once.
+
+    Raises DomainError unless rho > 0, and LightCylinderError for a gal
+    point at or past the light cylinder.
+    """
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
     if spec.kind == GAL:
         _check_inside_light_cylinder(rho, spec)
-        return spec.omega * rho
-    return spec.c * math.tanh(rapidity(rho, spec))
+        beta = spec.omega * rho / spec.c
+        gap = 1.0 - beta * beta
+        dtau_dt = math.sqrt(gap)
+        u_t = 1.0 / dtau_dt
+        return _FixedPoint(u_t, u_t * spec.omega, spec.omega * rho, dtau_dt,
+                           spec.omega / gap)
+    lam = rho * spec.omega / spec.c
+    try:
+        ch, sh = math.cosh(lam), math.sinh(lam)
+    except OverflowError:
+        ch = sh = math.inf
+    # past lam = 710.5 (or at lam = inf, where cosh does not raise) u^t is
+    # out of range, although 1 / cosh(lam) would still be a float
+    dtau_dt = 1.0 / ch if ch < math.inf else math.inf
+    return _FixedPoint(ch, (spec.c / rho) * sh, spec.c * math.tanh(lam), dtau_dt,
+                       (spec.c / (2.0 * rho)) * (sh * ch + lam))
+
+
+def _in_range(value: float, rho: float, spec: CongruenceSpec) -> float:
+    """value, or the overflow DomainError where it left the float range."""
+    if not math.isfinite(value):
+        raise _overflow(rho, spec)
+    return value
+
+
+def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
+    """revolution_period from the fixed point fp at radius rho."""
+    if spec.omega == 0.0:
+        raise DegenerateError("no revolution at omega = 0")
+    if spec.kind == GAL:
+        period = 2.0 * math.pi / spec.omega
+    elif fp.speed == 0.0:
+        raise DomainError(
+            f"rho * omega / c underflows the float range at rho = {rho}, "
+            f"omega = {spec.omega}, c = {spec.c}"
+        )
+    else:
+        period = 2.0 * math.pi * rho / fp.speed
+    if not math.isfinite(period):
+        raise DomainError(
+            f"revolution period exceeds the float range at rho = {rho}, "
+            f"omega = {spec.omega}, c = {spec.c}"
+        )
+    return period
+
+
+def fixed_point_speed(rho: float, spec: CongruenceSpec) -> float:
+    """Lab-frame speed of the congruence fixed point at radius rho."""
+    return _in_range(_fixed_point(rho, spec).speed, rho, spec)
 
 
 def proper_time_rate(rho: float, spec: CongruenceSpec) -> float:
@@ -218,45 +281,17 @@ def proper_time_rate(rho: float, spec: CongruenceSpec) -> float:
     tt and mtt share one code path, so their values are bit-identical.
     Raises DomainError where cosh(lambda) overflows (lambda above 710).
     """
-    if spec.kind == GAL:
-        if not rho > 0.0:
-            raise DomainError(f"rho must be positive, got {rho}")
-        _check_inside_light_cylinder(rho, spec)
-        beta = spec.omega * rho / spec.c
-        return math.sqrt(1.0 - beta * beta)
-    try:
-        return 1.0 / math.cosh(rapidity(rho, spec))
-    except OverflowError:
-        raise _overflow(rho, spec) from None
+    return _in_range(_fixed_point(rho, spec).dtau_dt, rho, spec)
 
 
 def revolution_period(rho: float, spec: CongruenceSpec) -> float:
     """Lab time for one full turn (delta phi = 2 pi) of the fixed point.
 
-    Raises DomainError where the period leaves the float range, as it
-    does for omega below about 3.5e-308.
+    Raises DegenerateError at omega = 0, and DomainError where the period
+    leaves the float range, as it does for omega below about 3.5e-308, or
+    where the tt speed underflows to 0.
     """
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if spec.omega == 0.0:
-        raise DegenerateError("no revolution at omega = 0")
-    if spec.kind == GAL:
-        _check_inside_light_cylinder(rho, spec)
-        period = 2.0 * math.pi / spec.omega
-    else:
-        speed = spec.c * math.tanh(rapidity(rho, spec))
-        if speed == 0.0:
-            raise DomainError(
-                f"rho * omega / c underflows the float range at rho = {rho}, "
-                f"omega = {spec.omega}, c = {spec.c}"
-            )
-        period = 2.0 * math.pi * rho / speed
-    if not math.isfinite(period):
-        raise DomainError(
-            f"revolution period exceeds the float range at rho = {rho}, "
-            f"omega = {spec.omega}, c = {spec.c}"
-        )
-    return period
+    return _period(rho, spec, _fixed_point(rho, spec))
 
 
 def omega_closed_form(rho: float, spec: CongruenceSpec) -> float:
@@ -267,18 +302,4 @@ def omega_closed_form(rho: float, spec: CongruenceSpec) -> float:
     cosh(lam) + lam) with lam = rho omega / c, which leaves the float
     range above lam = 355, or where c / rho does (DomainError).
     """
-    if not rho > 0.0:
-        raise DomainError(f"rho must be positive, got {rho}")
-    if spec.kind == GAL:
-        _check_inside_light_cylinder(rho, spec)
-        beta = spec.omega * rho / spec.c
-        value = spec.omega / (1.0 - beta * beta)
-    else:
-        lam = rho * spec.omega / spec.c
-        try:
-            value = (spec.c / (2.0 * rho)) * (math.sinh(lam) * math.cosh(lam) + lam)
-        except OverflowError:
-            value = math.inf
-    if not math.isfinite(value):
-        raise _overflow(rho, spec)
-    return value
+    return _in_range(_fixed_point(rho, spec).vorticity, rho, spec)

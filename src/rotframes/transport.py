@@ -24,9 +24,10 @@ vorticity-based per-revolution angle. See README for the discussion.
 Angles are reported unwrapped (accumulated), never folded mod 2 pi.
 
 The per-revolution reports (precession_per_revolution,
-compare_congruences) are built from the closed forms in congruences
-alone; the integrator angle is measure_precession_angle's and is only
-computed when asked for.
+compare_congruences) are built from one evaluation of the closed forms
+in congruences (congruences._fixed_point) per report; the integrator
+angle is measure_precession_angle's and is only computed when asked
+for.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,11 +45,11 @@ from .congruences import (
     MTT,
     TT,
     CongruenceSpec,
-    _overflow,
+    _fixed_point,
+    _FixedPoint,
+    _in_range,
+    _period,
     _u_components,
-    omega_closed_form,
-    proper_time_rate,
-    revolution_period,
 )
 from .errors import ConstraintDriftError, DomainError, LightCylinderError
 from .tensors import PHI, T, Event, _christoffel, metric_diag
@@ -88,11 +90,11 @@ class FwTrajectory:
     max_drift: float
 
 
-@dataclass(frozen=True)
-class PrecessionReport:
+class PrecessionReport(NamedTuple):
     """Per-revolution precession data for one congruence at one radius.
 
-    delta_phi = -vorticity * delta_tau by construction; net_angle adds
+    speed and dtau_dt are the fixed point's lab speed and proper time
+    rate. delta_phi = -vorticity * delta_tau by construction; net_angle adds
     the 2 pi the rotating axes themselves turn through, giving the spin
     rotation relative to inertial axes. The integrator's own angle is
     measure_precession_angle's, computed on request only. A gal entry of
@@ -105,6 +107,8 @@ class PrecessionReport:
     omega: float
     c: float
     vorticity: float
+    speed: float
+    dtau_dt: float
     delta_tau: float
     delta_phi: float
     net_angle: float
@@ -119,9 +123,7 @@ def worldline(spec: CongruenceSpec, rho: float) -> Worldline:
     u = _u_components(Event(0.0, rho, 0.0), spec)
     a = np.zeros(4)
     with np.errstate(over="ignore"):
-        a[1] = -rho * u[PHI] ** 2
-    if not np.isfinite(a[1]):
-        raise _overflow(rho, spec)
+        a[1] = _in_range(-rho * u[PHI] ** 2, rho, spec)
     return Worldline(spec=spec, rho=rho, u=u, a=a)
 
 
@@ -218,9 +220,14 @@ def fw_transport(
     )
 
 
+def _proper_period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
+    """proper_period from the fixed point fp at radius rho."""
+    return _period(rho, spec, fp) * _in_range(fp.dtau_dt, rho, spec)
+
+
 def proper_period(spec: CongruenceSpec, rho: float) -> float:
     """Proper time elapsed on the fixed point during one lab revolution."""
-    return revolution_period(rho, spec) * proper_time_rate(rho, spec)
+    return _proper_period(rho, spec, _fixed_point(rho, spec))
 
 
 def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> float:
@@ -257,35 +264,20 @@ def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> fl
 
 
 def precession_per_revolution(spec: CongruenceSpec, rho: float) -> PrecessionReport:
-    """Closed-form per-revolution precession of the fixed point at radius rho."""
-    omega_scalar = omega_closed_form(rho, spec)
-    delta_tau = proper_period(spec, rho)
-    delta_phi = -omega_scalar * delta_tau
-    return PrecessionReport(
-        kind=spec.kind,
-        rho=rho,
-        omega=spec.omega,
-        c=spec.c,
-        vorticity=omega_scalar,
-        delta_tau=delta_tau,
-        delta_phi=delta_phi,
-        net_angle=delta_phi + 2.0 * math.pi,
-    )
+    """Closed-form per-revolution precession of the fixed point at radius rho.
+
+    Raises omega_closed_form's errors, then proper_period's.
+    """
+    fp = _fixed_point(rho, spec)
+    vorticity = _in_range(fp.vorticity, rho, spec)
+    delta_tau = _proper_period(rho, spec, fp)
+    delta_phi = -vorticity * delta_tau
+    return PrecessionReport(spec.kind, rho, spec.omega, spec.c, vorticity, fp.speed,
+                            fp.dtau_dt, delta_tau, delta_phi, delta_phi + 2.0 * math.pi)
 
 
 def _horizon_report(rho: float, omega: float, c: float) -> PrecessionReport:
-    nan = float("nan")
-    return PrecessionReport(
-        kind=GAL,
-        rho=rho,
-        omega=omega,
-        c=c,
-        vorticity=nan,
-        delta_tau=nan,
-        delta_phi=nan,
-        net_angle=nan,
-        status="light_cylinder",
-    )
+    return PrecessionReport(GAL, rho, omega, c, *(math.nan,) * 6, "light_cylinder")
 
 
 def compare_congruences(

@@ -16,15 +16,21 @@ from rotframes import (
     Event,
     RotframesError,
     compare_congruences,
+    fixed_point_speed,
     four_velocity,
     gal_inverse,
     gal_map,
     kinematic_sample,
     measure_precession_angle,
+    omega_closed_form,
     precession_per_revolution,
+    proper_period,
+    proper_time_rate,
+    revolution_period,
     tt_inverse,
     tt_map,
     vorticity_scalars,
+    worldline,
 )
 
 SEED = 20062
@@ -69,7 +75,13 @@ def _calls(rng, spec, rho, event, draw):
              for r in reports if r.status == "ok")),
         ("four_velocity", lambda: four_velocity(event, spec),
          lambda u: _finite(u.components)),
+        ("worldline", lambda: worldline(spec, rho),
+         lambda wl: _finite(wl.u) and _finite(wl.a)),
     ]
+    for fn in (fixed_point_speed, proper_time_rate, revolution_period,
+               omega_closed_form):
+        calls.append((fn.__name__, lambda fn=fn: fn(rho, spec), _finite))
+    calls.append(("proper_period", lambda: proper_period(spec, rho), _finite))
     for fn in (gal_map, gal_inverse, tt_map, tt_inverse):
         calls.append((fn.__name__, lambda fn=fn: fn(event, spec),
                       lambda e: _finite(e.coords())))
