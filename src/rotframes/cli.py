@@ -20,8 +20,13 @@ numeric scalar kinematics gives as nan (difference stencil off the chart
 or across the light cylinder, or a value out of the float range), is
 emitted the same way with status "domain_error". precess turns either
 mark into exit 3. JSON output is an object
-{"params": ..., "rows": [...], "version": ...} whose floats round-trip
-exactly (non-finite values become null).
+{"params": ..., "rows": [...], "version": ...} as json.dumps prints it with
+indent=2 and sorted keys: floats print as Python repr, so they round-trip
+exactly, and non-finite values become null. Both formats are rendered a
+block of rows at a time (_render_csv, _render_json).
+
+omega and compare compute each distinct model once (congruences._MODEL):
+the mtt rows are the tt rows with their kind relabelled.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6),
 3 domain error (one-line diagnostic, no traceback), 64 usage error.
@@ -44,12 +49,15 @@ import math
 import os
 import re
 import sys
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .congruences import (
+    _MODEL,
     KINDS,
     CongruenceSpec,
     gal_inverse,
@@ -127,13 +135,6 @@ class ReportRow(NamedTuple):
     status: str = "ok"
 
 
-def _jsonable(value):
-    if isinstance(value, str) or value is None:
-        return value
-    v = float(value)
-    return v if math.isfinite(v) else None
-
-
 def _perturbation() -> float:
     raw = os.environ.get(PERTURB_ENV, "")
     return float(raw) if raw.strip() else 0.0
@@ -190,23 +191,51 @@ def compute_row(kind: str, rho: float, omega: float, c: float,
     return compute_rows(kind, [rho], omega, c, perturb)[0]
 
 
+# rows per %-template: one encoder pass per block keeps the token list and
+# the %-tuple small however long the table is
+_BLOCK = 512
+_NULL = dict.fromkeys(("NaN", "Infinity", "-Infinity"), "null")  # json's non-finite tokens
+
+
+def _blocks(rows: list, row_template: str, sep: str):
+    """(block, row_template once per row of it, joined by sep) for each block."""
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start:start + _BLOCK]
+        yield block, sep.join([row_template] * len(block))
+
+
 def _render_csv(header: str, rows: list) -> str:
     if not rows:
         return header + "\n"
-    # one %-format per row; "%.17g" prints nan and inf as format() does
+    # "%.17g" prints nan and inf as format() does
     fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
-    return "\n".join([header] + [fmt % tuple(row) for row in rows]) + "\n"
+    parts = [header]
+    for block, template in _blocks(rows, fmt, "\n"):
+        parts.append(template % tuple(chain.from_iterable(block)))
+    return "\n".join(parts) + "\n"
 
 
 def _render_json(params: dict, field_names: list[str], rows: list) -> str:
-    payload = {
-        "params": params,
-        "rows": [
-            {name: _jsonable(v) for name, v in zip(field_names, row)} for row in rows
-        ],
-        "version": __version__,
-    }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps({"params", "rows", "version"}, indent=2,
+    sort_keys=True) with non-finite numbers as null.
+
+    indent makes json.dumps use its pure-Python encoder, so the rows
+    instead fill a key-sorted %-template one block at a time. A block's
+    values go through one pass of json's C encoder, one token per line
+    (ensure_ascii escapes any newline inside a string).
+    """
+    head = json.dumps({"params": params}, indent=2, sort_keys=True)[:-2]
+    order = sorted(range(len(field_names)), key=field_names.__getitem__)
+    row_template = "    {\n      " + ",\n      ".join(
+        json.dumps(field_names[i]) + ": %s" for i in order) + "\n    }"
+    sorted_row = itemgetter(*order)  # a tuple for the two or more fields a table has
+    parts = []
+    for block, template in _blocks(rows, row_template, ",\n"):
+        values = list(chain.from_iterable(map(sorted_row, block)))
+        tokens = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+        parts.append(template % tuple(map(_NULL.get, tokens, tokens)))
+    body = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
+    return f'{head},\n  "rows": {body},\n  "version": {json.dumps(__version__)}\n}}\n'
 
 
 def _emit(args, params: dict, field_names: list[str], rows: list) -> None:
@@ -251,6 +280,19 @@ def _parse_kinds(raw: str) -> list[str]:
     return kinds
 
 
+def _rows_by_kind(kinds: list[str], compute) -> list[ReportRow]:
+    """compute(model) once per distinct model of kinds (congruences._MODEL),
+    its rows relabelled with each kind in turn."""
+    computed, rows = {}, []
+    for kind in kinds:
+        model = _MODEL[kind]
+        if model not in computed:
+            computed[model] = compute(model)
+        rows += (computed[model] if model == kind
+                 else [row._replace(kind=kind) for row in computed[model]])
+    return rows
+
+
 def cmd_omega(args) -> int:
     kinds = _parse_kinds(args.kind)
     if not args.rho_min < args.rho_max:
@@ -261,11 +303,8 @@ def cmd_omega(args) -> int:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     perturb = _perturbation()
-    rows = [
-        row
-        for kind in kinds
-        for row in compute_rows(kind, grid, args.omega, args.c, perturb)
-    ]
+    rows = _rows_by_kind(
+        kinds, lambda model: compute_rows(model, grid, args.omega, args.c, perturb))
     params = {
         "command": "omega",
         "kind": kinds,
@@ -281,7 +320,8 @@ def cmd_omega(args) -> int:
 
 def cmd_compare(args) -> int:
     perturb = _perturbation()
-    rows = [compute_row(kind, args.rho, args.omega, args.c, perturb) for kind in KINDS]
+    rows = _rows_by_kind(
+        KINDS, lambda model: [compute_row(model, args.rho, args.omega, args.c, perturb)])
     params = {
         "command": "compare",
         "rho": args.rho,

@@ -13,7 +13,8 @@ the light speed c:
 * ``mtt``: the modified Trocheris-Takeno family. Its fixed-point
   worldlines and timing are modelled here as identical to ``tt`` (see the
   README caveat); the identifier stays distinct so the two families can
-  diverge if an explicit map is adopted later.
+  diverge if an explicit map is adopted later. _MODEL is the one place
+  that maps mtt to tt.
 
 The closed forms of a fixed point (four-velocity, speed, proper time
 rate, vorticity scalar) come from one evaluation per radius,
@@ -30,6 +31,7 @@ parameter sweeps can evaluate concurrently without coordination.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -42,6 +44,9 @@ GAL = "gal"
 TT = "tt"
 MTT = "mtt"
 KINDS = (GAL, TT, MTT)
+# the kind that models each kind's fixed points; mtt rows are tt rows
+# with their kind relabelled
+_MODEL = {GAL: GAL, TT: TT, MTT: TT}
 
 
 @dataclass(frozen=True)
@@ -116,6 +121,13 @@ def _tt_apply(e: Event, spec: CongruenceSpec, lam: float) -> Event:
     except OverflowError:
         ch = sh = math.inf  # phi and t come out non-finite below
     phi = e.phi * ch - e.t * (spec.c / e.rho) * sh
+    if not math.isfinite(phi):
+        # c / rho leaves the float range below rho = c / 1.8e308, where lam
+        # may be subnormal or 0, and t c / rho can overflow where phi' does
+        # not; (c / rho) sinh(lam) = omega sinh(lam) / lam avoids both.
+        # Ordinary points keep the form above, and its last bit.
+        ratio = sh / lam if lam else 1.0
+        phi = e.phi * ch - e.t * math.copysign(spec.omega, lam) * ratio
     t = e.t * ch - e.phi * (e.rho / spec.c) * sh
     return _mapped(e, spec, t, phi)
 
@@ -260,6 +272,9 @@ def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
             f"rho * omega / c underflows the float range at rho = {rho}, "
             f"omega = {spec.omega}, c = {spec.c}"
         )
+    elif rho < sys.float_info.min:
+        # 2 pi rho would round in the subnormal range; rho / speed does not
+        period = 2.0 * math.pi * (rho / fp.speed)
     else:
         period = 2.0 * math.pi * rho / fp.speed
     if not math.isfinite(period):

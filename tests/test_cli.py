@@ -454,6 +454,59 @@ class TestBatchedSweep:
         assert len(calls) == 2
 
 
+class TestModelReuse:
+    """omega and compare compute mtt rows once, as the tt rows relabelled."""
+
+    SWEEP = ["--omega", "0.7", "--rho-min", "0.05", "--rho-max", "1.6", "--steps", "40",
+             "--self-check"]
+
+    @staticmethod
+    def _spy(monkeypatch):
+        kinds = []
+        real = cli._scalar_rows
+
+        def spy(spec, x):
+            kinds.append(spec.kind)
+            return real(spec, x)
+
+        monkeypatch.setattr(cli, "_scalar_rows", spy)
+        return kinds
+
+    @pytest.mark.parametrize("perturb", ["", "1e-3"])
+    @pytest.mark.parametrize("kinds,models", [
+        ("mtt", ["tt"]), ("mtt,gal", ["tt", "gal"]), ("tt,mtt", ["tt"]),
+        ("gal,tt,mtt,tt", ["gal", "tt"]),
+    ])
+    def test_sweep_equals_the_per_kind_sweeps(self, capsys, monkeypatch, kinds,
+                                               models, perturb):
+        monkeypatch.setenv(cli.PERTURB_ENV, perturb)
+        singles = [run(capsys, ["omega", "--kind", k] + self.SWEEP)
+                   for k in kinds.split(",")]
+        called = self._spy(monkeypatch)
+        code, out, err = run(capsys, ["omega", "--kind", kinds] + self.SWEEP)
+        assert called == models
+        assert out == CSV_HEADER + "\n" + "".join(
+            o.split("\n", 1)[1] for _, o, _ in singles)
+        assert code == max(c for c, _, _ in singles)
+        assert err == next((e for c, _, e in singles if c), "")
+        _, out, _ = run(capsys, ["omega", "--kind", kinds, "--format", "json"] + self.SWEEP)
+        rows = [row for k in kinds.split(",") for row in json.loads(
+            run(capsys, ["omega", "--kind", k, "--format", "json"] + self.SWEEP)[1])["rows"]]
+        assert json.loads(out)["rows"] == rows
+
+    @pytest.mark.parametrize("perturb", ["", "1e-3"])
+    @pytest.mark.parametrize("rho", ["0.05", "0.9", "1.6", "400"])
+    def test_compare_rows_are_the_sweep_rows(self, capsys, monkeypatch, rho, perturb):
+        monkeypatch.setenv(cli.PERTURB_ENV, perturb)
+        called = self._spy(monkeypatch)
+        _, out, _ = run(capsys, ["compare", "--rho", rho, "--omega", "0.7"])
+        assert called == ["gal", "tt"]
+        _, sweep, _ = run(capsys, ["omega", "--rho-min", rho, "--rho-max", "1e3",
+                                   "--steps", "2", "--omega", "0.7"])
+        assert out.split("\n")[1:4] == sweep.split("\n")[1::2][:3]
+        assert [line.split(",")[0] for line in out.split("\n")[1:4]] == ["gal", "tt", "mtt"]
+
+
 class TestOverflow:
     # rapidity rho * omega / c: sinh cosh leaves the float range above 355,
     # cosh itself above 710
@@ -564,8 +617,8 @@ class TestOverflow:
         ["--map", "gal", "--rho", "1", "--omega", "1e308", "--t", "1e10"],
         ["--map", "gal", "--direction", "inv", "--rho", "1", "--omega", "1e308",
          "--t", "1e10"],
-        # c / rho overflows, not the rapidity 1e-310
-        ["--map", "tt", "--rho", "1e-310", "--omega", "1", "--t", "1"],
+        # phi' = -t c sinh(lam) / rho is about -1e310; the rapidity is 1e-10
+        ["--map", "tt", "--rho", "1e-310", "--omega", "1e300", "--t", "1e10"],
         ["--map", "tt", "--rho", "1000", "--omega", "1"],
     ])
     def test_transform_overflow_names_the_inputs(self, capsys, argv):
@@ -688,7 +741,7 @@ class TestParserReuse:
         assert in_process[1][0] == 64
 
 
-class TestFuzz:
+class _CliFuzz:
     """Seeded draws of argv inside and outside the domain, all in one process."""
 
     SEED = 20061
@@ -768,9 +821,9 @@ class TestFuzz:
                 argv += extra
         return argv
 
-    def test_every_draw_ends_in_a_documented_exit(self, capsys):
+    def _draws(self, capsys):
+        """(argv, exit code, stdout) of each draw, after the checks all draws share."""
         rng = np.random.default_rng(self.SEED)
-        codes = set()
         for _ in range(self.DRAWS):
             argv = self._argv(rng)
             with warnings.catch_warnings():
@@ -780,6 +833,35 @@ class TestFuzz:
             assert "Traceback" not in err, argv
             if code in (3, 64):
                 assert out == "", argv
-            codes.add(code)
+            yield argv, code, out
+
+
+class TestFuzz(_CliFuzz):
+    def test_every_draw_ends_in_a_documented_exit(self, capsys):
+        codes = {code for _, code, _ in self._draws(capsys)}
         # this seed reaches every documented exit
         assert codes == {0, 2, 3, 64}
+
+
+class TestFuzzFloatRange(_CliFuzz):
+    """The same kind of draws, with subnormal and near-overflow edge values."""
+
+    SEED = 20062
+    EDGES = ["5e-324", "1e-310", "1e-300", "1.7e308"]
+
+    def test_no_ok_row_holds_a_non_finite_number(self, capsys):
+        codes, ok_rows = set(), 0
+        for argv, code, out in self._draws(capsys):
+            codes.add(code)
+            if code not in (0, 2):
+                continue
+            rows = json.loads(out)["rows"] if "json" in argv else parse_csv(out)[1]
+            for row in rows:  # transform rows have no status: all must be finite
+                if row.get("status", "ok") != "ok":
+                    continue
+                ok_rows += 1
+                # a CSV cell is a string, a JSON one a float or None (null)
+                numbers = [v for k, v in row.items() if k not in ("kind", "status")]
+                assert all(v is not None and math.isfinite(float(v)) for v in numbers), (
+                    argv, row)
+        assert codes == {0, 2, 3, 64} and ok_rows > 100

@@ -8,7 +8,9 @@ four-velocity) or the [exception class, message] pair it raised; an
 outcome equal to an earlier one of its row is stored as that function's
 name. ``python tests/test_closed_forms.py > tests/data/closed_forms.json``
 writes the table; the stored one was written before the closed forms
-shared one fixed-point evaluation.
+shared one fixed-point evaluation. Its tt and mtt rows at subnormal rho
+were rewritten later, once the period stopped rounding 2 pi rho in the
+subnormal range (they held 6.0 for 2 pi, for one).
 
 The one intended difference from that table is _intended(): where
 rho * omega / c is infinite, tt and mtt gave a proper time rate (and a

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -23,6 +25,20 @@ from rotframes import (
     tt_inverse,
     tt_map,
 )
+
+
+PI_40 = Decimal("3.141592653589793238462643383279502884197")
+
+
+def _sinh_40(x: Decimal) -> Decimal:
+    """sinh(x) to 40 digits for |x| < 1, by its series."""
+    term = total = x
+    k = 1
+    while abs(term) > abs(total) * Decimal("1e-45"):
+        term *= x * x / ((k + 1) * (k + 2))
+        total += term
+        k += 2
+    return total
 
 
 def random_events(rng, n, rho_lo=0.05, rho_hi=5.0):
@@ -93,6 +109,25 @@ class TestTTMap:
             after = (c * out.t) ** 2 - (out.rho * out.phi) ** 2
             scale = max(abs(before), (c * e.t) ** 2 + (e.rho * e.phi) ** 2, 1e-30)
             assert abs(after - before) / scale < 1e-12
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("rho,omega,c,t", [
+        (1e-310, 1.0, 1.0, 1.0), (5e-324, 0.7, 1.0, 1.0), (5e-324, 0.4, 1.0, -2.5),
+        (5e-324, 0.5, 3.0, 1.0), (2e-309, 0.9, 0.5, 3.0), (1e-310, 1e10, 1.0, 1e-5),
+        (1e-300, 1.0, 1.0, 1e300), (0.5, 0.1, 1.0, 1.7e308),
+    ])
+    def test_phi_where_the_ordinary_form_overflows(self, rho, omega, c, t, inverse):
+        # c / rho or t c / rho leaves the float range (and lam may be
+        # subnormal or 0), but phi' = -t c sinh(lam) / rho, about -t omega,
+        # does not
+        spec = CongruenceSpec("tt", omega, c)
+        out = (tt_inverse if inverse else tt_map)(Event(t, rho, 0.0, 0.0), spec)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c) * (-1 if inverse else 1)
+            expected = float(-Decimal(t) * Decimal(c) * _sinh_40(lam) / Decimal(rho))
+        assert out.phi == pytest.approx(expected, rel=2e-16)
+        assert (out.t, out.rho, out.z) == (t * math.cosh(rapidity(rho, spec)), rho, 0.0)
 
     def test_fixed_points_move_at_stated_speed(self):
         # differentiate the inverse map along t' at constant (rho', phi')
@@ -269,6 +304,27 @@ class TestSpeedAndTiming:
         with pytest.raises(DomainError, match="float range"):
             revolution_period(1.0, CongruenceSpec(kind, omega))
         assert math.isfinite(revolution_period(1.0, CongruenceSpec(kind, 4e-308)))
+
+    @pytest.mark.parametrize("rho,omega,c", [
+        (5e-324, 1.0, 1.0), (1e-320, 1.0, 1.0), (1e-310, 1.0, 1.0), (5e-324, 1.0, 1e-300),
+        (5e-324, 1e300, 1.0), (1e-310, 1e300, 1.0), (4.94e-321, 1.0, 5e-324),
+    ])
+    @pytest.mark.parametrize("kind", ["tt", "mtt"])
+    def test_tt_period_at_subnormal_rho(self, kind, rho, omega, c):
+        # 2 pi rho rounds in the subnormal range: 5e-324 gave 6.0 for 2 pi
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+            tanh = _sinh_40(lam) / (_sinh_40(lam) ** 2 + 1).sqrt()
+            expected = float(2 * PI_40 * Decimal(rho) / (Decimal(c) * tanh))
+        assert revolution_period(rho, CongruenceSpec(kind, omega, c)) == pytest.approx(
+            expected, rel=2e-16)
+
+    def test_tt_period_keeps_its_form_at_normal_rho(self):
+        spec = CongruenceSpec("tt", 1.0)
+        for rho in (sys.float_info.min, 1e-300, 1.0):
+            speed = fixed_point_speed(rho, spec)
+            assert revolution_period(rho, spec) == 2.0 * math.pi * rho / speed
 
     @pytest.mark.parametrize("rho,omega,c", [(5e-324, 0.5, 3.0), (1e-310, 1.0, 1.0)])
     def test_overflow_names_the_inputs(self, rho, omega, c):
