@@ -34,8 +34,10 @@ def fw_rk4(m, s0, h, record_idx, g_diag, u):
     m is the constant (4, 4) generator, s0 the initial contravariant spin,
     record_idx increasing step counts (0 gives s0), g_diag the metric
     diagonal and u the four-velocity. Returns (samples, max_ortho,
-    max_norm_drift): the (len(record_idx), 4) spins, the largest
-    |g_ab S^a u^b| and the largest |S.S - s0.s0| over s0 and the samples.
+    max_norm_drift, theta): the (len(record_idx), 4) spins, the largest
+    |g_ab S^a u^b| and the largest |S.S - s0.s0| over s0 and the samples,
+    and theta = arg R(i h Omega), the angle one step turns M's rotation
+    plane through (0 where Omega = 0).
     Raises ConstraintDriftError when M^3 = -Omega^2 M fails, which means
     the worldline's acceleration does not fit its orbit.
     """
@@ -47,10 +49,11 @@ def fw_rk4(m, s0, h, record_idx, g_diag, u):
         )
     n = np.asarray(record_idx, dtype=float)
     if omega2 == 0.0:
+        theta = 0.0
         a, b = n * h, 0.5 * (n * h) ** 2
     else:
         y = h * np.sqrt(omega2)
-        theta = np.arctan2(y - y**3 / 6.0, 1.0 - y * y / 2.0 + y**4 / 24.0)
+        theta = float(np.arctan2(y - y**3 / 6.0, 1.0 - y * y / 2.0 + y**4 / 24.0))
         # r^2 = 1 - y^6/72 + y^8/576 exactly; re^2 + im^2 - 1 would cancel
         n_log_r = n * (0.5 * np.log1p(-(y**6) / 72.0 + y**8 / 576.0))
         rn = np.exp(n_log_r)
@@ -61,4 +64,4 @@ def fw_rk4(m, s0, h, record_idx, g_diag, u):
     gu = g_diag * u
     max_ortho = max(abs(float(s0 @ gu)), float(np.max(np.abs(samples @ gu))))
     drift = np.abs((samples * samples) @ g_diag - float(s0 @ (g_diag * s0)))
-    return samples, max_ortho, float(np.max(drift))
+    return samples, max_ortho, float(np.max(drift)), theta

@@ -28,8 +28,10 @@ block of rows at a time (_render_csv, _render_json).
 omega and compare compute each distinct model once (congruences._MODEL):
 the mtt rows are the tt rows with their kind relabelled.
 
-Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6),
-3 domain error (one-line diagnostic, no traceback), 64 usage error.
+Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
+or precess's fw_measured more than 1e-6 relative off the Thomas angle
+-2 pi u^t), 3 domain error (one-line diagnostic, no traceback), 64 usage
+error.
 
 Negative flag values may be written in exponent form (--t -1e-05), not
 only as plain decimals. The argument parser is built once per process, on
@@ -77,7 +79,11 @@ from .kinematics import (
     vorticity_scalar,  # noqa: F401  rfbench/layers.py traces it here
 )
 from .tensors import Event
-from .transport import measure_precession_angle, precession_per_revolution
+from .transport import (
+    SELF_CHECK_TOL,
+    measure_precession_angle,
+    precession_per_revolution,
+)
 
 CSV_HEADER = (
     "kind,rho,lambda,omega_numeric,omega_closed,rel_err,"
@@ -85,7 +91,6 @@ CSV_HEADER = (
 )
 ROW_FIELDS = CSV_HEADER.split(",")
 
-SELF_CHECK_TOL = 1e-6
 # a three-kind sweep of this many steps peaks at about 450 MB RSS
 MAX_SWEEP_STEPS = 100_000
 PERTURB_ENV = "ROTFRAMES_SELF_CHECK_PERTURB"
@@ -364,7 +369,19 @@ def cmd_precess(args) -> int:
         names = ROW_FIELDS + ["fw_measured", "fw_deviation"]
         values = (*row, fw_measured, fw_measured - row.delta_phi_prime)
     _emit(args, params, names, [values])
-    return _gate(args, [row])
+    code = _gate(args, [row])
+    if code == EXIT_OK and args.self_check and args.fw_check is not None:
+        # the Thomas angle -2 pi u^t is the dyad-referenced reference of every kind
+        thomas = -2.0 * math.pi / row.dtau_dt
+        rel = abs(fw_measured - thomas) / -thomas
+        if not rel <= SELF_CHECK_TOL:
+            print(
+                f"self-check failed: fw_measured is {rel:.3e} off -2 pi u^t at "
+                f"kind={row.kind} rho={row.rho}; increase --fw-check",
+                file=sys.stderr,
+            )
+            return EXIT_SELF_CHECK
+    return code
 
 
 def cmd_transform(args) -> int:
@@ -418,7 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--self-check",
         action="store_true",
-        help=f"exit {EXIT_SELF_CHECK} if any rel_err exceeds {SELF_CHECK_TOL:g}",
+        help=f"exit {EXIT_SELF_CHECK} if any rel_err, or precess's fw_measured "
+             f"against -2 pi u^t, exceeds {SELF_CHECK_TOL:g} relative",
     )
 
     parser = _Parser(

@@ -129,6 +129,10 @@ def _tt_apply(e: Event, spec: CongruenceSpec, lam: float) -> Event:
         ratio = sh / lam if lam else 1.0
         phi = e.phi * ch - e.t * math.copysign(spec.omega, lam) * ratio
     t = e.t * ch - e.phi * (e.rho / spec.c) * sh
+    if not math.isfinite(t):
+        # the mirror of phi': rho / c overflows for tiny c where t' need
+        # not; (rho / c) sinh(lam) = |lam| sinh(lam) / omega, phi first
+        t = e.t * ch - (e.phi * sh * abs(lam) / spec.omega if spec.omega else 0.0)
     return _mapped(e, spec, t, phi)
 
 

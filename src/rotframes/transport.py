@@ -19,21 +19,18 @@ congruence that dyad co-rotates with the neighbouring worldlines, so over
 one revolution the measured angle reproduces -Omega * dtau exactly; for
 the shearing tt congruence the dyad-referenced angle is the circular
 Thomas result -2 pi cosh(lambda), which intentionally differs from the
-vorticity-based per-revolution angle. See README for the discussion.
+vorticity-based per-revolution angle; both are -2 pi u^t. See README
+for the discussion. Angles are accumulated, never folded mod 2 pi.
 
-Angles are reported unwrapped (accumulated), never folded mod 2 pi.
-
-The per-revolution reports (precession_per_revolution,
-compare_congruences) are built from one evaluation of the closed forms
-in congruences (congruences._fixed_point) per report; the integrator
-angle is measure_precession_angle's and is only computed when asked
-for.
+Each per-revolution report is built from one evaluation of the closed
+forms (congruences._fixed_point); the integrator angle only on request.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -58,8 +55,9 @@ from .tensors import PHI, T, Event, _christoffel, metric_diag
 #: which a transport run is rejected mid-flight.
 DRIFT_LIMIT = 1e-6
 
-#: Most spin samples measure_precession_angle records (32 MiB of spins).
-MAX_SAMPLES = 2**20
+#: Relative tolerance of the self-checks: the CLI's --self-check gates,
+#: and the rounding measure_precession_angle's generator may carry.
+SELF_CHECK_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,11 +81,14 @@ class FwTrajectory:
     spins[k] holds the contravariant spin components at proper time
     taus[k]. max_drift is the worst scaled constraint violation seen
     mid-run: the larger of |S.u| / (|S| c) and the relative change of S.S.
+    One RK4 step turns the plane the generator M rotates by step_angle.
     """
 
     taus: np.ndarray
     spins: np.ndarray
     max_drift: float
+    generator: np.ndarray
+    step_angle: float
 
 
 class PrecessionReport(NamedTuple):
@@ -96,10 +97,9 @@ class PrecessionReport(NamedTuple):
     speed and dtau_dt are the fixed point's lab speed and proper time
     rate. delta_phi = -vorticity * delta_tau by construction; net_angle adds
     the 2 pi the rotating axes themselves turn through, giving the spin
-    rotation relative to inertial axes. The integrator's own angle is
-    measure_precession_angle's, computed on request only. A gal entry of
-    compare_congruences at or beyond the light cylinder carries status
-    "light_cylinder" and NaN numerics.
+    rotation relative to inertial axes. A gal entry of compare_congruences
+    at or beyond the light cylinder carries status "light_cylinder" and
+    NaN numerics.
     """
 
     kind: str
@@ -151,6 +151,15 @@ def transport_generator(wl: Worldline) -> np.ndarray:
     return m
 
 
+def _finite_generator(wl: Worldline) -> np.ndarray:
+    """transport_generator(wl); DomainError where it leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = transport_generator(wl)
+    if not np.isfinite(m).all():
+        raise DomainError("transport generator overflows the float range")
+    return m
+
+
 def fw_step(m: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     """One classical RK4 update of dS/dtau = M S."""
     k1 = m @ s
@@ -160,13 +169,8 @@ def fw_step(m: np.ndarray, s: np.ndarray, h: float) -> np.ndarray:
     return s + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def fw_transport(
-    wl: Worldline,
-    s0: np.ndarray,
-    tau_span: float,
-    steps: int,
-    n_samples: int = 1025,
-) -> FwTrajectory:
+def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
+                 n_samples: int = 1025) -> FwTrajectory:
     """Fermi-Walker transport of a spin vector for a span of proper time.
 
     s0 holds the contravariant spin components; it must be spacelike and
@@ -186,11 +190,12 @@ def fw_transport(
         raise ValueError(f"tau_span must be positive, got {tau_span}")
     s = np.asarray(s0, dtype=float)
     c = wl.spec.c
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         g = metric_diag(wl.rho, c)
-    if not np.isfinite(g).all():
-        raise DomainError(f"metric leaves the float range at rho = {wl.rho}, c = {c}")
-    s_norm2 = -float(s @ (g * s))
+        s_norm2 = -float(s @ (g * s))
+    if not np.isfinite(g).all() or math.isinf(s_norm2):
+        raise DomainError(
+            f"metric or spin norm leaves the float range at rho = {wl.rho}, c = {c}")
     if not s_norm2 > 0.0:
         raise ValueError("initial spin must be spacelike")
     scale = c * math.sqrt(s_norm2)
@@ -199,13 +204,12 @@ def fw_transport(
 
     h = tau_span / steps
     n_rec = min(int(n_samples), steps + 1)
-    record_idx = np.unique(np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
-    # overflow is checked below, on the generator and on the drift
+    record_idx = np.array([0, steps]) if n_rec == 2 else np.unique(
+        np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
+    m = _finite_generator(wl)
+    # overflow of the steps is checked below, on the drift
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        m = transport_generator(wl)
-        if not np.isfinite(m).all():
-            raise DomainError("transport generator overflows the float range")
-        spins, raw_ortho, raw_norm = fw_rk4(m, s, h, record_idx, g, wl.u)
+        spins, raw_ortho, raw_norm, theta = fw_rk4(m, s, h, record_idx, g, wl.u)
     drift = max(raw_ortho / scale, raw_norm / s_norm2)
     if math.isnan(raw_ortho + raw_norm):
         drift = math.nan  # samples past the float range: the RK4 steps grew
@@ -213,11 +217,8 @@ def fw_transport(
         raise ConstraintDriftError(
             f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: too few steps"
         )
-    return FwTrajectory(
-        taus=record_idx.astype(float) * h,
-        spins=spins,
-        max_drift=drift,
-    )
+    return FwTrajectory(taus=record_idx.astype(float) * h, spins=spins, max_drift=drift,
+                        generator=m, step_angle=theta)
 
 
 def _proper_period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
@@ -233,34 +234,35 @@ def proper_period(spec: CongruenceSpec, rho: float) -> float:
 def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> float:
     """Integrator-measured rotation of the spin against the rotating dyad.
 
-    Starts the spin along the radial dyad leg, transports it for one
-    revolution and returns the unwrapped angle swept by its projection
-    onto the orbit plane. The spin turns through 2 pi u^t against the
-    dyad, and np.unwrap needs samples less than pi apart, so the spin is
-    sampled every pi / 4 or closer: 2049 samples, more above u^t = 256,
-    never more than one per step. Raises DomainError where that takes
-    more than MAX_SAMPLES samples (u^t above about 131000).
+    Transports the spin, started along the radial dyad leg, for one
+    revolution. The RK4 map turns it by step_angle a step, so the angle is
+    -steps * step_angle, in the sense the generator turns e_r; the final
+    spin's angle against the dyad must agree mod 2 pi (ConstraintDriftError
+    otherwise). Omega^2 = -tr(M^2) / 2 is good to about eps (u^t)^2, so
+    where that exceeds SELF_CHECK_TOL (u^t above about 67000) this raises
+    DomainError before any transport.
     """
     wl = worldline(spec, rho)
     u_t = float(wl.u[T])
-    # min(..., steps) keeps 8 u^t finite for math.ceil
-    n_samples = min(steps + 1, max(2049, math.ceil(min(8.0 * u_t, steps)) + 1))
-    if n_samples > MAX_SAMPLES:
+    rounding = sys.float_info.epsilon * u_t * u_t
+    if not rounding <= SELF_CHECK_TOL:
+        _finite_generator(wl)  # a generator past the float range says so first
         raise DomainError(
-            f"one revolution at u^t = {u_t:.6g} takes {n_samples} spin samples, "
-            f"more than {MAX_SAMPLES}: rho = {rho}, omega = {spec.omega}, c = {spec.c}"
+            f"transport generator at u^t = {u_t:.6g} carries rounding eps (u^t)^2 = "
+            f"{rounding:.3g}, above {SELF_CHECK_TOL:g}: "
+            f"rho = {rho}, omega = {spec.omega}, c = {spec.c}"
         )
-    # the dyad's radial leg; the dyad itself is built after the transport,
-    # whose DomainError comes first where c * c underflows
+    # the dyad's radial leg: the whole dyad waits for fw_transport's
+    # DomainError where c * c underflows
     e_r = np.array([0.0, 1.0, 0.0, 0.0])
-    traj = fw_transport(wl, e_r, proper_period(spec, rho), steps, n_samples)
-    _, e_p = corotating_dyad(wl)
-    g = metric_diag(rho, spec.c)
-    # minus signs: spatial legs have e.e = -1
-    comp_r = -traj.spins @ (g * e_r)
-    comp_p = -traj.spins @ (g * e_p)
-    theta = np.unwrap(np.arctan2(comp_p, comp_r))
-    return float(theta[-1] - theta[0])
+    traj = fw_transport(wl, e_r, proper_period(spec, rho), steps, n_samples=2)
+    # dyad components; the minus signs because spatial legs have e.e = -1
+    dyad = -np.array(corotating_dyad(wl)) * metric_diag(rho, spec.c)
+    angle = math.copysign(steps, dyad[1] @ traj.generator @ e_r) * traj.step_angle
+    s_r, s_p = dyad @ traj.spins[-1]
+    if not abs(math.remainder(math.atan2(s_p, s_r) - angle, 2.0 * math.pi)) <= DRIFT_LIMIT:
+        raise ConstraintDriftError(f"transported spin is off the RK4 angle {angle!r}")
+    return angle
 
 
 def precession_per_revolution(spec: CongruenceSpec, rho: float) -> PrecessionReport:
@@ -276,13 +278,7 @@ def precession_per_revolution(spec: CongruenceSpec, rho: float) -> PrecessionRep
                             fp.dtau_dt, delta_tau, delta_phi, delta_phi + 2.0 * math.pi)
 
 
-def _horizon_report(rho: float, omega: float, c: float) -> PrecessionReport:
-    return PrecessionReport(GAL, rho, omega, c, *(math.nan,) * 6, "light_cylinder")
-
-
-def compare_congruences(
-    rho: float, omega: float, c: float = 1.0
-) -> list[PrecessionReport]:
+def compare_congruences(rho: float, omega: float, c: float = 1.0) -> list[PrecessionReport]:
     """Per-revolution reports for gal, tt and mtt at identical parameters.
 
     The gal entry is replaced by a light-cylinder marker when rho * omega
@@ -292,7 +288,8 @@ def compare_congruences(
     try:
         gal_report = precession_per_revolution(CongruenceSpec(GAL, omega, c), rho)
     except LightCylinderError:
-        gal_report = _horizon_report(rho, omega, c)
+        gal_report = PrecessionReport(GAL, rho, omega, c, *(math.nan,) * 6,
+                                      "light_cylinder")
     return [
         gal_report,
         precession_per_revolution(CongruenceSpec(TT, omega, c), rho),

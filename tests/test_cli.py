@@ -257,7 +257,49 @@ class TestPrecess:
              "--fw-check", "1000000000"],
         )
         assert code == 3 and out == ""
-        assert err.count("\n") == 1 and "spin samples" in err
+        # no step count cures the generator's rounding, so no hint
+        assert err.count("\n") == 1 and "eps (u^t)^2" in err
+        assert "increase --fw-check" not in err
+
+    @pytest.mark.parametrize("rho", ["12", "13", "20", "50"])
+    def test_fw_check_past_the_precision_rule(self, capsys, rho):
+        code, out, err = run(
+            capsys,
+            ["precess", "--kind", "tt", "--rho", rho, "--omega", "1",
+             "--fw-check", "1000000000"],
+        )
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1 and "above 1e-06" in err
+        assert "increase --fw-check" not in err
+
+    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
+    def test_fw_check_passes_the_thomas_gate(self, capsys, kind):
+        code, out, err = run(
+            capsys,
+            ["precess", "--kind", kind, "--rho", "1", "--omega", "0.5",
+             "--fw-check", "100000", "--self-check"],
+        )
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
+    @pytest.mark.parametrize("factor, gated", [(1.0 + 2e-6, 2), (1.0 + 5e-7, 0)])
+    def test_thomas_gate_fault_injection(self, capsys, monkeypatch, kind, factor, gated):
+        # fw_measured is gated against -2 pi u^t for every kind, relative
+        thomas = -2.0 * math.pi / rotframes.proper_time_rate(
+            1.0, rotframes.CongruenceSpec(kind, 0.5))
+        monkeypatch.setattr(cli, "measure_precession_angle",
+                            lambda spec, rho, steps: thomas * factor)
+        argv = ["precess", "--kind", kind, "--rho", "1", "--omega", "0.5",
+                "--fw-check", "100000"]
+        plain = run(capsys, argv)
+        assert plain[0] == 0 and plain[2] == ""
+        code, out, err = run(capsys, argv + ["--self-check"])
+        assert code == gated and out == plain[1]
+        if gated:
+            assert err.count("\n") == 1
+            assert err.rstrip("\n").endswith("increase --fw-check")
+        else:
+            assert err == ""
 
     def test_fw_check_step_range_is_usage_error(self, capsys):
         for steps in ("15", str(2**53 + 1), "10" * 20):
@@ -560,7 +602,7 @@ class TestOverflow:
         assert float(rows[1]["rel_err"]) < 1e-6
 
     @pytest.mark.parametrize("rho, omega, hint", [
-        ("1", "14", "increase --fw-check"),  # RK4 unstable: samples overflow
+        ("1", "11", "increase --fw-check"),  # RK4 unstable: samples overflow
         ("305", "1", "float range"),  # the generator itself overflows
     ])
     def test_fw_check_overflow_is_domain_error_exit(self, capsys, rho, omega, hint):

@@ -129,6 +129,26 @@ class TestTTMap:
         assert out.phi == pytest.approx(expected, rel=2e-16)
         assert (out.t, out.rho, out.z) == (t * math.cosh(rapidity(rho, spec)), rho, 0.0)
 
+    @pytest.mark.parametrize("inverse", [False, True])
+    @pytest.mark.parametrize("rho,omega,c,t,phi", [
+        (1.0, 1e-310, 1e-310, 1.0, 1e-10), (2.0, 1e-310, 1e-310, -3.0, -1e-12),
+        (1.0, 5e-324, 5e-324, 1.0, 1e-300), (4.0, 1e-310, 1e-309, 0.5, -2e-8),
+        (1.0, 0.0, 1e-310, 1.0, 1e-10),
+    ])
+    def test_t_where_the_ordinary_form_overflows(self, rho, omega, c, t, phi, inverse):
+        # rho / c leaves the float range, but t' = t cosh(lam) - phi (rho / c)
+        # sinh(lam) does not
+        spec = CongruenceSpec("tt", omega, c)
+        out = (tt_inverse if inverse else tt_map)(Event(t, rho, phi, 0.0), spec)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c) * (-1 if inverse else 1)
+            sinh = _sinh_40(lam)
+            expected = float(Decimal(t) * (sinh * sinh + 1).sqrt()
+                             - Decimal(phi) * Decimal(rho) / Decimal(c) * sinh)
+        assert out.t == pytest.approx(expected, rel=4e-16)
+        assert math.isfinite(out.phi) and (out.rho, out.z) == (rho, 0.0)
+
     def test_fixed_points_move_at_stated_speed(self):
         # differentiate the inverse map along t' at constant (rho', phi')
         spec = CongruenceSpec("tt", 0.9)

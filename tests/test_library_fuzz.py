@@ -5,6 +5,7 @@ ValueError; numpy warnings are errors here, as in the whole suite.
 """
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -13,11 +14,13 @@ import pytest
 from rotframes import (
     KINDS,
     CongruenceSpec,
+    DomainError,
     Event,
     RotframesError,
     compare_congruences,
     fixed_point_speed,
     four_velocity,
+    fw_transport,
     gal_inverse,
     gal_map,
     kinematic_sample,
@@ -32,6 +35,7 @@ from rotframes import (
     vorticity_scalars,
     worldline,
 )
+from rotframes.transport import SELF_CHECK_TOL
 
 SEED = 20062
 DRAWS = 1000
@@ -89,6 +93,13 @@ def _calls(rng, spec, rho, event, draw):
         steps = int(rng.choice(STEPS))
         calls.append(("measure_precession_angle",
                       lambda: measure_precession_angle(spec, rho, steps), _finite))
+        # a caller's spin: any mix of the radial and z legs is orthogonal to u
+        spin = np.array([0.0, _signed(rng), 0.0, _signed(rng)])
+        span, samples = _positive(rng), int(rng.choice([2, 3, 1025]))
+        calls.append(("fw_transport",
+                      lambda: fw_transport(worldline(spec, rho), spin, span, steps, samples),
+                      lambda tr: all(_finite(v) for v in (
+                          tr.taus, tr.spins, tr.max_drift, tr.generator, tr.step_angle))))
     return calls
 
 
@@ -123,3 +134,42 @@ def test_gal_maps_raise_where_phi_overflows(omega, t):
         with pytest.raises(RotframesError, match="overflow mapping t = "):
             fn(Event(t, 1.0, 0.0), spec)
     assert math.isfinite(gal_map(Event(1.0, 1.0, 0.0), spec).phi)
+
+
+def test_measured_angle_across_the_precision_rule():
+    # tt rapidity up to 15 crosses eps (u^t)^2 = SELF_CHECK_TOL at 11.8:
+    # past it every call is a DomainError, before it an angle or an error
+    rng = np.random.default_rng(SEED + 1)
+    outcomes = {"angle": 0, "refused": 0, "other": 0}
+    for draw in range(200):
+        lam = float(rng.uniform(0.0, 15.0))
+        c = _positive(rng) if rng.random() < 0.5 else 1.0
+        omega = float(10.0 ** rng.uniform(-3.0, 3.0)) * c
+        if not omega > 0.0:
+            continue
+        spec = CongruenceSpec("tt", omega, c)
+        rho = lam * c / omega
+        steps = int(rng.choice([16, 1000, 100_000, 10**7, 10**9, 2**53]))
+        where = f"draw {draw}: {spec}, rho = {rho}, steps = {steps}"
+        try:
+            u_t = worldline(spec, rho).u[0]
+        except RotframesError:
+            continue
+        imprecise = sys.float_info.epsilon * u_t * u_t > SELF_CHECK_TOL
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                angle = measure_precession_angle(spec, rho, steps)
+            except DomainError as exc:
+                # the generator's own float-range error may come first
+                assert ("above 1e-06" in str(exc)) <= imprecise, where
+                outcomes["refused" if imprecise else "other"] += 1
+                continue
+            except (RotframesError, ValueError):
+                assert not imprecise, where
+                outcomes["other"] += 1
+                continue
+        assert not imprecise and math.isfinite(angle), where
+        assert angle < 0.0, where
+        outcomes["angle"] += 1
+    assert min(outcomes.values()) > 10, outcomes

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import rotframes._kernels as kernels
+import rotframes.transport as transport
 from rotframes import (
     CongruenceSpec,
     ConstraintDriftError,
@@ -102,7 +103,7 @@ class TestKernels:
         g = metric_diag(wl.rho, wl.spec.c)
         e_r, _ = corotating_dyad(wl)
         idx = np.array([0, 1], dtype=np.int64)
-        out, _, _ = kernels.fw_rk4(m, e_r.copy(), 0.01, idx, g, wl.u)
+        out = kernels.fw_rk4(m, e_r.copy(), 0.01, idx, g, wl.u)[0]
         np.testing.assert_allclose(
             out[1], fw_step(m, e_r.copy(), 0.01), rtol=1e-15, atol=0.0
         )
@@ -124,7 +125,7 @@ class TestKernels:
         chain = np.array(chain)
         for n in (1, 17, 1000, 4096):
             idx = np.arange(n + 1, dtype=np.int64)
-            out, _, _ = kernels.fw_rk4(m, s0, h, idx, g, wl.u)
+            out = kernels.fw_rk4(m, s0, h, idx, g, wl.u)[0]
             err = np.linalg.norm(out - chain[: n + 1], axis=1).max()
             assert err <= 1e-13 * np.linalg.norm(s0)
 
@@ -176,15 +177,68 @@ class TestTransport:
         angle = measure_precession_angle(spec, rho, steps)
         assert angle == pytest.approx(exact, rel=rel)
 
-    def test_sample_bound_is_domain_error(self):
-        # u^t = cosh 13 needs 8 u^t + 1 = 1769655 samples
+    def test_precision_bound_is_domain_error(self):
+        # eps (cosh 13)^2 = 1.09e-5: Omega^2 = -tr(M^2) / 2 is not good to 1e-6
         spec = CongruenceSpec("tt", 1.0)
-        with pytest.raises(DomainError, match="takes 1769655 spin samples, more than"):
+        with pytest.raises(DomainError,
+                           match=r"eps \(u\^t\)\^2 = 1.09e-05, above 1e-06"):
             measure_precession_angle(spec, 13.0, 10**9)
         # where c * c underflows, the generator's DomainError comes without
         # a warning from the dyad
         with pytest.raises(DomainError, match="generator"):
             measure_precession_angle(CongruenceSpec("tt", 1e-200, 1e-200), 1.0, 1000)
+
+    @pytest.mark.parametrize("lam", [10.0, 12.0, 13.0, 20.0, 50.0])
+    def test_precision_rule_at_rapidity(self, lam):
+        # eps (u^t)^2 is 2.7e-8 at lam = 10 and 1.5e-6, 1.1e-5, 13, 1.5e+27
+        # at 12, 13, 20, 50; numpy warnings fail the test
+        spec = CongruenceSpec("tt", 1.0)
+        if lam == 10.0:
+            angle = measure_precession_angle(spec, lam, 10**9)
+            assert angle == pytest.approx(-2.0 * math.pi * math.cosh(lam), rel=1e-8)
+            return
+        with pytest.raises(DomainError, match=r"eps \(u\^t\)\^2 = .*, above 1e-06"):
+            measure_precession_angle(spec, lam, 10**9)
+
+    @pytest.mark.parametrize("steps", [10**3, 2**53])
+    def test_angle_transports_to_the_end_only(self, monkeypatch, steps):
+        # the angle is -N theta: one call hands the kernel the start and
+        # the end of the revolution and nothing in between
+        seen = []
+
+        def spy(m, s0, h, record_idx, g_diag, u):
+            seen.append(np.array(record_idx))
+            return kernels.fw_rk4(m, s0, h, record_idx, g_diag, u)
+
+        monkeypatch.setattr(transport, "fw_rk4", spy)
+        spec = CongruenceSpec("gal", 0.5)
+        angle = measure_precession_angle(spec, 1.0, steps)
+        assert len(seen) == 1
+        np.testing.assert_array_equal(seen[0], [0, steps])
+        if steps == 2**53:
+            assert angle == pytest.approx(-2.0 * math.pi * gamma_of(0.5), rel=1e-9)
+
+    def test_angle_sign_comes_from_the_generator(self, monkeypatch):
+        # a counter-rotating orbit (u^phi negated) turns the spin the other
+        # way against the same dyad
+        spec = CongruenceSpec("tt", 0.8)
+        angle = measure_precession_angle(spec, 1.0, 10**5)
+        forward = transport.worldline
+        monkeypatch.setattr(
+            transport, "worldline",
+            lambda spec, rho: replace(forward(spec, rho),
+                                      u=forward(spec, rho).u * [1.0, 1.0, -1.0, 1.0]))
+        assert measure_precession_angle(spec, 1.0, 10**5) == -angle
+
+    def test_transported_spin_must_agree_with_the_angle(self, monkeypatch):
+        # a kernel whose step angle disagrees with its own samples
+        def skewed(*args):
+            *rest, theta = kernels.fw_rk4(*args)
+            return (*rest, theta * (1.0 + 1e-6))
+
+        monkeypatch.setattr(transport, "fw_rk4", skewed)
+        with pytest.raises(ConstraintDriftError, match="off the RK4 angle"):
+            measure_precession_angle(CongruenceSpec("gal", 0.5), 1.0, 10**5)
 
     def test_constraints_preserved_over_revolution(self):
         spec = CongruenceSpec("gal", 0.6)
