@@ -44,16 +44,7 @@ from .kinematics import (
     vorticity_vector_direct,
     vorticity_vector_from_tensor,
 )
-from .tensors import (
-    CONTRAVARIANT,
-    COVARIANT,
-    LEVI_CIVITA,
-    Event,
-    FourVector,
-    MetricAt,
-    dot,
-    metric_at,
-)
+from .tensors import LEVI_CIVITA, Event, FourVector
 from .transport import (
     FwTrajectory,
     PrecessionReport,
@@ -71,8 +62,6 @@ from .transport import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CONTRAVARIANT",
-    "COVARIANT",
     "CongruenceSpec",
     "ConstraintDriftError",
     "DegenerateError",
@@ -86,7 +75,6 @@ __all__ = [
     "LEVI_CIVITA",
     "LightCylinderError",
     "MTT",
-    "MetricAt",
     "PrecessionReport",
     "RotframesError",
     "TT",
@@ -95,7 +83,6 @@ __all__ = [
     "acceleration",
     "compare_congruences",
     "corotating_dyad",
-    "dot",
     "fixed_point_speed",
     "four_velocity",
     "fw_step",
@@ -104,7 +91,6 @@ __all__ = [
     "gal_map",
     "kinematic_sample",
     "measure_precession_angle",
-    "metric_at",
     "omega_closed_form",
     "partial_derivatives_u",
     "precession_per_revolution",

@@ -38,7 +38,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import DegenerateError, DomainError, LightCylinderError
-from .tensors import CONTRAVARIANT, Event, FourVector
+from .tensors import Event, FourVector
 
 GAL = "gal"
 TT = "tt"
@@ -213,7 +213,7 @@ def _u_components(e: Event, spec: CongruenceSpec) -> np.ndarray:
 
 def four_velocity(e: Event, spec: CongruenceSpec) -> FourVector:
     """Normalized tangent (u.u = c^2) to the congruence worldline through e."""
-    return FourVector(_u_components(e, spec), CONTRAVARIANT)
+    return FourVector(_u_components(e, spec))
 
 
 class _FixedPoint(NamedTuple):

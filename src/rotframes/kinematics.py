@@ -66,7 +66,6 @@ from .congruences import (  # noqa: F401
 )
 from .errors import DomainError
 from .tensors import (
-    CONTRAVARIANT,
     LEVI_CIVITA,
     PHI,
     RHO,
@@ -87,6 +86,9 @@ _PERM_DG = 4 * _PERM[:, 3] + _PERM[:, 2]
 _RICHARDSON = np.array([1.0, -1.0, 0.5, -0.5])
 _EYE = np.eye(4)
 _UPPER = np.triu(np.ones((4, 4)), 1)
+# root of the smallest normal float: sqrt(-w.w) below it means w.w has lost
+# bits to underflow
+_SQRT_TINY = np.sqrt(np.finfo(float).tiny)
 
 
 @dataclass(frozen=True)
@@ -221,7 +223,7 @@ def _jet(spec: FieldLike, x: np.ndarray, h: np.ndarray) -> _Jet:
 
 
 def _at(spec: FieldLike, event: Event) -> _Jet:
-    x = np.array([[event.t, event.rho, event.phi, event.z]])
+    x = event.coords()[None, :]
     h = _step(x[:, 1])
     _guard_stencil(spec, x[:, 1], h)
     return _jet(spec, x, h)
@@ -271,14 +273,15 @@ def _norm_rows(jet: _Jet, w: np.ndarray) -> np.ndarray:
     """sqrt(-w.w) of spacelike vectors, one per event."""
     norm2 = -(w * (jet.g * w)).sum(axis=1)
     norm = np.sqrt(np.maximum(norm2, 0.0))
-    big = np.isinf(norm2)
-    if big.any():
-        # w.w overflowed although w fits: redo those rows scaled by a power
-        # of two, which is exact
-        _, e = np.frexp(np.abs(w[big]).max(axis=1))
-        ws = np.ldexp(w[big], -e[:, None])
-        norm2 = -(ws * (jet.g[big] * ws)).sum(axis=1)
-        norm[big] = np.ldexp(np.sqrt(np.maximum(norm2, 0.0)), e)
+    # w.w underflowed or overflowed although w fits: redo those rows scaled
+    # by a power of two, which is exact. Rows of a timelike w are redone too
+    # and give 0 either way; nonzero() is cheaper than any() on a few rows.
+    (redo,) = ((norm < _SQRT_TINY) | (norm == np.inf)).nonzero()
+    if redo.size:
+        _, e = np.frexp(np.abs(w[redo]).max(axis=1))
+        ws = np.ldexp(w[redo], -e[:, None])
+        norm2 = -(ws * (jet.g[redo] * ws)).sum(axis=1)
+        norm[redo] = np.ldexp(np.sqrt(np.maximum(norm2, 0.0)), e)
     return norm
 
 
@@ -308,7 +311,7 @@ def acceleration(spec: FieldLike, event: Event) -> FourVector:
     """Contravariant acceleration u_dot^a = u^b (d_b u^a + Gamma^a_bg u^g)."""
     jet = _at(spec, event)
     a = _acceleration_rows(jet, _christoffel(jet.rho))
-    return FourVector(_finite(a)[0], CONTRAVARIANT)
+    return FourVector(_finite(a)[0])
 
 
 @_quiet
@@ -327,7 +330,7 @@ def vorticity_tensor(spec: FieldLike, event: Event) -> np.ndarray:
 def vorticity_vector_direct(spec: FieldLike, event: Event) -> FourVector:
     """Vorticity vector from the permutation symbol and comma derivatives."""
     jet = _at(spec, event)
-    return FourVector(_finite(_eps_contract(jet, jet.du))[0], CONTRAVARIANT)
+    return FourVector(_finite(_eps_contract(jet, jet.du))[0])
 
 
 @_quiet
@@ -340,7 +343,7 @@ def vorticity_vector_from_tensor(spec: FieldLike, event: Event) -> FourVector:
     jet = _at(spec, event)
     gam = _christoffel(jet.rho)
     w = _tensor_rows(jet, gam, _acceleration_rows(jet, gam))
-    return FourVector(_finite(_eps_contract(jet, w))[0], CONTRAVARIANT)
+    return FourVector(_finite(_eps_contract(jet, w))[0])
 
 
 @_quiet
@@ -376,8 +379,7 @@ def vorticity_scalars(spec: FieldLike, coords: np.ndarray) -> np.ndarray:
 
 def vorticity_scalar(spec: FieldLike, event: Event) -> float:
     """Magnitude sqrt(-w.w) of the (spacelike) vorticity vector."""
-    coords = [[event.t, event.rho, event.phi, event.z]]
-    return float(vorticity_scalars(spec, coords)[0])
+    return float(vorticity_scalars(spec, event.coords())[0])
 
 
 @_quiet
@@ -392,9 +394,9 @@ def kinematic_sample(spec: FieldLike, event: Event) -> KinematicSample:
     w_vec = _finite(_eps_contract(jet, jet.du))
     return KinematicSample(
         event=event,
-        u=FourVector(jet.u[0], CONTRAVARIANT),
-        u_dot=FourVector(u_dot[0], CONTRAVARIANT),
+        u=FourVector(jet.u[0]),
+        u_dot=FourVector(u_dot[0]),
         vorticity_tensor=_finite(_tensor_rows(jet, gam, u_dot))[0],
-        vorticity_vector=FourVector(w_vec[0], CONTRAVARIANT),
+        vorticity_vector=FourVector(w_vec[0]),
         vorticity_scalar=float(_finite(_norm_rows(jet, w_vec))[0]),
     )

@@ -6,6 +6,10 @@ norms are positive and a normalized four-velocity satisfies u.u = c^2.
 The chart degenerates on the axis; every event must carry rho > 0.
 Orientation is fixed by eps(t, rho, phi, z) = +1.
 
+A FourVector holds contravariant components v^a, and metric_diag is the
+only metric: the inner product of a and b at radius rho is
+a @ (metric_diag(rho, c) * b), and lowering an index is g * v.
+
 Everything in this module is a pure function of its arguments and safe to
 call concurrently.
 """
@@ -20,9 +24,6 @@ import numpy as np
 from .errors import DomainError
 
 T, RHO, PHI, Z = 0, 1, 2, 3
-
-CONTRAVARIANT = "contravariant"
-COVARIANT = "covariant"
 
 
 def _permutation_symbol() -> np.ndarray:
@@ -59,32 +60,15 @@ class Event:
 
 @dataclass(frozen=True, eq=False)
 class FourVector:
-    """Components of a four-vector in the (t, rho, phi, z) basis.
-
-    The variance tag records whether the stored components are
-    contravariant (index up) or covariant (index down).
-    """
+    """Contravariant components v^a of a four-vector in the (t, rho, phi, z) basis."""
 
     components: np.ndarray
-    variance: str = CONTRAVARIANT
 
     def __post_init__(self):
         arr = np.asarray(self.components, dtype=float)
         if arr.shape != (4,):
             raise ValueError("FourVector needs exactly 4 components")
         object.__setattr__(self, "components", arr)
-        if self.variance not in (CONTRAVARIANT, COVARIANT):
-            raise ValueError(f"unknown variance {self.variance!r}")
-
-
-@dataclass(frozen=True, eq=False)
-class MetricAt:
-    """Metric, inverse metric and determinant data at one event."""
-
-    g: np.ndarray
-    g_inv: np.ndarray
-    det_g: float
-    sqrt_neg_det: float
 
 
 def metric_diag(rho, c: float) -> np.ndarray:
@@ -104,17 +88,6 @@ def metric_diag(rho, c: float) -> np.ndarray:
     return g
 
 
-def metric_at(event: Event, c: float = 1.0) -> MetricAt:
-    """Metric data at an event; sqrt(-det g) = c * rho in this chart."""
-    diag = metric_diag(event.rho, c)
-    return MetricAt(
-        g=np.diag(diag),
-        g_inv=np.diag(1.0 / diag),
-        det_g=float(np.prod(diag)),
-        sqrt_neg_det=c * event.rho,
-    )
-
-
 def _christoffel(rho) -> np.ndarray:
     """Gamma[..., a, b, g] = Gamma^a_{bg} at radius rho, a float or an array.
 
@@ -127,9 +100,3 @@ def _christoffel(rho) -> np.ndarray:
     gam[..., PHI, PHI, RHO] = 1.0 / rho
     return gam
 
-
-def dot(a: FourVector, b: FourVector, m: MetricAt) -> float:
-    """Inner product g_ab a^a b^b, converting stored variance as needed."""
-    av = a.components if a.variance == CONTRAVARIANT else m.g_inv @ a.components
-    bv = b.components if b.variance == CONTRAVARIANT else m.g_inv @ b.components
-    return float(av @ m.g @ bv)

@@ -11,10 +11,8 @@ from rotframes import (
     LightCylinderError,
     VelocityField,
     acceleration,
-    dot,
     four_velocity,
     kinematic_sample,
-    metric_at,
     omega_closed_form,
     partial_derivatives_u,
     proper_time_rate,
@@ -24,6 +22,7 @@ from rotframes import (
     vorticity_vector_direct,
     vorticity_vector_from_tensor,
 )
+from rotframes.tensors import metric_diag
 
 T, RHO, PHI, Z = 0, 1, 2, 3
 
@@ -102,9 +101,9 @@ class TestAcceleration:
     def test_orthogonal_to_velocity(self):
         spec = CongruenceSpec("tt", 1.0)
         e = Event(0.0, 1.0, 0.0)
-        a = acceleration(spec, e)
-        u = four_velocity(e, spec)
-        assert abs(dot(a, u, metric_at(e, spec.c))) < 1e-9
+        a = acceleration(spec, e).components
+        u = four_velocity(e, spec).components
+        assert abs(a @ (metric_diag(e.rho, spec.c) * u)) < 1e-9
 
 
 class TestVorticityTensor:
@@ -164,8 +163,8 @@ class TestVorticityVector:
     def test_tt_magnitude_at_unit_rapidity(self):
         spec = CongruenceSpec("tt", 1.0)
         e = Event(0.0, 1.0, 0.0)
-        w = vorticity_vector_direct(spec, e)
-        mag = math.sqrt(-dot(w, w, metric_at(e, spec.c)))
+        w = vorticity_vector_direct(spec, e).components
+        mag = math.sqrt(-(w @ (metric_diag(e.rho, spec.c) * w)))
         expected = 0.5 * (math.sinh(1.0) * math.cosh(1.0) + 1.0)
         assert mag == pytest.approx(expected, rel=1e-10)
 
@@ -217,12 +216,12 @@ class TestVorticityVector:
         for kind, omega in (("gal", 0.4), ("tt", 1.2), ("mtt", 0.8)):
             spec = CongruenceSpec(kind, omega)
             e = Event(0.0, 1.1, 0.3)
-            w = vorticity_vector_direct(spec, e)
-            u = four_velocity(e, spec)
-            m = metric_at(e, spec.c)
-            wn = math.sqrt(abs(dot(w, w, m)))
-            un = math.sqrt(abs(dot(u, u, m)))
-            assert abs(dot(w, u, m)) <= 1e-9 * max(wn * un, 1.0)
+            w = vorticity_vector_direct(spec, e).components
+            u = four_velocity(e, spec).components
+            g = metric_diag(e.rho, spec.c)
+            wn = math.sqrt(abs(w @ (g * w)))
+            un = math.sqrt(abs(u @ (g * u)))
+            assert abs(w @ (g * u)) <= 1e-9 * max(wn * un, 1.0)
 
 
 class TestVorticityScalar:
@@ -323,12 +322,13 @@ class TestKinematicSample:
         spec = CongruenceSpec("tt", 1.0)
         e = Event(0.0, 1.0, 0.0)
         s = kinematic_sample(spec, e)
-        m = metric_at(e, spec.c)
-        assert dot(s.u, s.u, m) == pytest.approx(1.0, rel=1e-12)
-        assert abs(dot(s.u_dot, s.u, m)) < 1e-9
+        g = metric_diag(e.rho, spec.c)
+        u, w = s.u.components, s.vorticity_vector.components
+        assert u @ (g * u) == pytest.approx(1.0, rel=1e-12)
+        assert abs(s.u_dot.components @ (g * u)) < 1e-9
         assert np.array_equal(s.vorticity_tensor, -s.vorticity_tensor.T)
         assert s.vorticity_scalar == pytest.approx(
-            math.sqrt(-dot(s.vorticity_vector, s.vorticity_vector, m)), rel=1e-10
+            math.sqrt(-(w @ (g * w))), rel=1e-10
         )
         assert s.vorticity_scalar == pytest.approx(
             omega_closed_form(1.0, spec), rel=1e-8
@@ -501,3 +501,15 @@ class TestOverflow:
         for lam in (150.0, 250.0, 350.0):
             num = vorticity_scalar(spec, Event(0.0, lam, 0.0))
             assert num == pytest.approx(omega_closed_form(lam, spec), rel=1e-7)
+
+    @pytest.mark.parametrize("kind", ["gal", "tt"])
+    @pytest.mark.parametrize("omega", [1e-300, 1e-200, 1e-160])
+    def test_scalar_holds_where_w_dot_w_underflows(self, kind, omega):
+        # w is about omega, so w.w drops below the smallest normal float
+        spec = CongruenceSpec(kind, omega)
+        e = Event(0.0, 1.0, 0.0)
+        closed = omega_closed_form(1.0, spec)
+        for num in (vorticity_scalar(spec, e),
+                    vorticity_scalars(spec, e.coords())[0],
+                    kinematic_sample(spec, e).vorticity_scalar):
+            assert num == pytest.approx(closed, rel=1e-10, abs=0.0)

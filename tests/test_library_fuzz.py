@@ -17,6 +17,7 @@ from rotframes import (
     DomainError,
     Event,
     RotframesError,
+    VelocityField,
     compare_congruences,
     fixed_point_speed,
     four_velocity,
@@ -65,12 +66,20 @@ def _calls(rng, spec, rho, event, draw):
     """(name, thunk, finite-check) for every function under test at one draw."""
     coords = np.array([event.coords(),
                        [event.t, _positive(rng), event.phi, event.z]])
-    calls = [
-        ("vorticity_scalars", lambda: vorticity_scalars(spec, coords), _finite),
-        ("kinematic_sample", lambda: kinematic_sample(spec, event),
-         lambda s: all(_finite(v) for v in (
-             s.u.components, s.u_dot.components, s.vorticity_tensor,
-             s.vorticity_vector.components, s.vorticity_scalar))),
+    # the same congruence as a user field, through the generic path
+    user = VelocityField(lambda e: four_velocity(e, spec).components, spec.c)
+    calls = []
+    for field, prefix in ((spec, ""), (user, "user field ")):
+        calls += [
+            (prefix + "vorticity_scalars",
+             lambda field=field: vorticity_scalars(field, coords), _finite),
+            (prefix + "kinematic_sample",
+             lambda field=field: kinematic_sample(field, event),
+             lambda s: all(_finite(v) for v in (
+                 s.u.components, s.u_dot.components, s.vorticity_tensor,
+                 s.vorticity_vector.components, s.vorticity_scalar))),
+        ]
+    calls += [
         ("precession_per_revolution", lambda: precession_per_revolution(spec, rho),
          lambda r: _finite([r.vorticity, r.delta_tau, r.delta_phi, r.net_angle])),
         ("compare_congruences", lambda: compare_congruences(rho, spec.omega, spec.c),

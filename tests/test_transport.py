@@ -15,11 +15,9 @@ from rotframes import (
     acceleration,
     compare_congruences,
     corotating_dyad,
-    dot,
     fw_step,
     fw_transport,
     measure_precession_angle,
-    metric_at,
     precession_per_revolution,
     proper_period,
     worldline,
