@@ -43,7 +43,12 @@ def fw_rk4(m, s0, h, record_idx, g_diag, u):
     """
     m2 = m @ m
     omega2 = max(-0.5 * float(np.trace(m2)), 0.0)
-    if np.linalg.norm(m @ m2 + omega2 * m) > 1e-12 * np.linalg.norm(m) ** 3:
+    # checked on M scaled by a power of two (exact) to entries below 1: M^3
+    # itself overflows for a large but finite generator
+    ms = np.ldexp(m, -np.frexp(np.abs(m).max())[1])
+    ms2 = ms @ ms
+    omega2s = max(-0.5 * float(np.trace(ms2)), 0.0)
+    if np.linalg.norm(ms @ ms2 + omega2s * ms) > 1e-12 * np.linalg.norm(ms) ** 3:
         raise ConstraintDriftError(
             "transport generator fails M^3 = -Omega^2 M; check the acceleration"
         )

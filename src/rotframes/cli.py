@@ -26,7 +26,9 @@ exactly, and non-finite values become null. Both formats are rendered a
 block of rows at a time (_render_csv, _render_json).
 
 omega and compare compute each distinct model once (congruences._MODEL):
-the mtt rows are the tt rows with their kind relabelled.
+the mtt rows are the tt rows with their kind relabelled. compare
+differences its gal and tt rows in one kinematics._scalar_rows pass; omega
+makes one pass per model.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
 or precess's fw_measured more than 1e-6 relative off the Thomas angle
@@ -149,51 +151,57 @@ def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
     return ReportRow(kind, rho, lam, *_NANS, status)
 
 
-def compute_rows(kind: str, rhos, omega: float, c: float,
-                 perturb: float = 0.0) -> list[ReportRow]:
-    """Evaluate grid points of one kind; domain failures become marked rows.
+def compute_rows(kinds: list[str], rhos, omega: float, c: float,
+                 perturb: float = 0.0) -> list[list[ReportRow]]:
+    """Evaluate the grid points of each kind; domain failures become marked rows.
 
     The closed-form columns of a row come from one
     precession_per_revolution report; a row whose report raises
     LightCylinderError is marked light_cylinder, and one that raises
-    another DomainError domain_error. The numeric scalar comes
-    from one kinematics._scalar_rows call over the other rows, multiplied
-    by (1 + perturb); a row it gives as nan (stencil does not fit, value
-    not finite) is marked domain_error too.
+    another DomainError domain_error. The numeric scalars of the other
+    rows, of every kind, come from one kinematics._scalar_rows call,
+    multiplied by (1 + perturb); a row it gives as nan (stencil does not
+    fit, value not finite) is marked domain_error too.
     """
-    spec = CongruenceSpec(kind, omega, c)
-    rows, pending = [], []
-    for rho in map(float, rhos):
-        lam = rho * omega / c
-        try:
-            report = precession_per_revolution(spec, rho)
-        except LightCylinderError:
-            rows.append(_marked_row(kind, rho, lam, "light_cylinder"))
-            continue
-        except DomainError:
-            rows.append(_marked_row(kind, rho, lam, "domain_error"))
-            continue
-        pending.append((len(rows), lam, report))
-        rows.append(None)
-    coords = np.zeros((len(pending), 4))
-    coords[:, 1] = [report.rho for _, _, report in pending]
-    scalars = _scalar_rows(spec, coords).tolist()
-    for (i, lam, report), scalar in zip(pending, scalars):
-        if math.isnan(scalar):
-            rows[i] = _marked_row(kind, report.rho, lam, "domain_error")
-            continue
-        scalar *= 1.0 + perturb
-        closed = report.vorticity
-        rows[i] = ReportRow(kind, report.rho, lam, scalar, closed,
-                            abs(scalar - closed) / closed, report.speed,
-                            report.dtau_dt, report.delta_phi, report.net_angle)
-    return rows
+    specs = [CongruenceSpec(kind, omega, c) for kind in kinds]
+    tables, pendings, coords = [], [], []
+    for spec in specs:
+        rows, pending = [], []
+        for rho in map(float, rhos):
+            lam = rho * omega / c
+            try:
+                report = precession_per_revolution(spec, rho)
+            except LightCylinderError:
+                rows.append(_marked_row(spec.kind, rho, lam, "light_cylinder"))
+                continue
+            except DomainError:
+                rows.append(_marked_row(spec.kind, rho, lam, "domain_error"))
+                continue
+            pending.append((len(rows), lam, report))
+            rows.append(None)
+        x = np.zeros((len(pending), 4))
+        x[:, 1] = [report.rho for _, _, report in pending]
+        tables.append(rows)
+        pendings.append(pending)
+        coords.append(x)
+    for spec, rows, pending, scalars in zip(specs, tables, pendings,
+                                            _scalar_rows(specs, coords)):
+        for (i, lam, report), scalar in zip(pending, scalars.tolist()):
+            if math.isnan(scalar):
+                rows[i] = _marked_row(spec.kind, report.rho, lam, "domain_error")
+                continue
+            scalar *= 1.0 + perturb
+            closed = report.vorticity
+            rows[i] = ReportRow(spec.kind, report.rho, lam, scalar, closed,
+                                abs(scalar - closed) / closed, report.speed,
+                                report.dtau_dt, report.delta_phi, report.net_angle)
+    return tables
 
 
 def compute_row(kind: str, rho: float, omega: float, c: float,
                 perturb: float = 0.0) -> ReportRow:
-    """Evaluate one grid point; a batch of one of compute_rows."""
-    return compute_rows(kind, [rho], omega, c, perturb)[0]
+    """Evaluate one grid point of one kind; a batch of one of compute_rows."""
+    return compute_rows([kind], [rho], omega, c, perturb)[0][0]
 
 
 # rows per %-template: one encoder pass per block keeps the token list and
@@ -286,13 +294,15 @@ def _parse_kinds(raw: str) -> list[str]:
 
 
 def _rows_by_kind(kinds: list[str], compute) -> list[ReportRow]:
-    """compute(model) once per distinct model of kinds (congruences._MODEL),
-    its rows relabelled with each kind in turn."""
-    computed, rows = {}, []
+    """The rows of each distinct model of kinds (congruences._MODEL), from
+    one compute(models) call, relabelled with each kind in turn.
+
+    compute returns one table of rows per model, in the order given.
+    """
+    models = list(dict.fromkeys(_MODEL[kind] for kind in kinds))
+    computed, rows = dict(zip(models, compute(models))), []
     for kind in kinds:
         model = _MODEL[kind]
-        if model not in computed:
-            computed[model] = compute(model)
         rows += (computed[model] if model == kind
                  else [row._replace(kind=kind) for row in computed[model]])
     return rows
@@ -308,8 +318,11 @@ def cmd_omega(args) -> int:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     perturb = _perturbation()
-    rows = _rows_by_kind(
-        kinds, lambda model: compute_rows(model, grid, args.omega, args.c, perturb))
+    # one difference pass per model: on a sweep, one pass over every model's
+    # rows takes as long as separate passes and doubles the peak memory
+    rows = _rows_by_kind(kinds, lambda models: [
+        compute_rows([model], grid, args.omega, args.c, perturb)[0]
+        for model in models])
     params = {
         "command": "omega",
         "kind": kinds,
@@ -325,8 +338,10 @@ def cmd_omega(args) -> int:
 
 def cmd_compare(args) -> int:
     perturb = _perturbation()
-    rows = _rows_by_kind(
-        KINDS, lambda model: [compute_row(model, args.rho, args.omega, args.c, perturb)])
+    # one difference pass for all the models: at one point its fixed cost
+    # is most of the work
+    rows = _rows_by_kind(KINDS, lambda models: compute_rows(
+        models, [args.rho], args.omega, args.c, perturb))
     params = {
         "command": "compare",
         "rho": args.rho,

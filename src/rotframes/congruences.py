@@ -276,6 +276,11 @@ def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
             f"rho * omega / c underflows the float range at rho = {rho}, "
             f"omega = {spec.omega}, c = {spec.c}"
         )
+    elif fp.speed < sys.float_info.min:
+        # the speed c tanh(lam) lost bits in the subnormal range; rho / c
+        # and tanh(lam) did not, and their ratio keeps 2 pi rho out of it
+        lam = rho * spec.omega / spec.c
+        period = 2.0 * math.pi * ((rho / spec.c) / math.tanh(lam))
     elif rho < sys.float_info.min:
         # 2 pi rho would round in the subnormal range; rho / speed does not
         period = 2.0 * math.pi * (rho / fp.speed)

@@ -4,10 +4,13 @@ The pipeline differentiates the four-velocity field numerically (central
 differences, always with one Richardson extrapolation level), so it
 works for any congruence supplied as u(event), not just the built-in
 ones, whose closed forms (congruences.omega_closed_form) it is checked
-against. Everything runs on arrays of events: one stencil of four points per
-axis around every event is evaluated, together with the events
-themselves, in one field call, and a call at a single event is a batch of
-one. The step follows from the radius alone (_step).
+against. Everything runs on arrays of events, and a call at a single
+event is a batch of one. A difference pass lays out 17 rows per event:
+its stencil, four points per axis, then the event itself (_fd_matrix),
+so the rows of consecutive events are one contiguous slice. A pass may
+difference the events of several fields that share c, grouped by field:
+the metric is evaluated once on all rows, and each field once, on its
+own slice (_jet). The step follows from the radius alone (_step).
 
 Each event gets one Jacobian, that of the lowered field,
 du[a, b] = d_b u_a. The metric is diagonal and depends only on rho, so
@@ -39,8 +42,8 @@ stencil must stay off the axis and, for gal, inside the light cylinder
 (_stencil_fits). The public functions raise DomainError for an event
 that fails it or for a result that is not finite. _scalar_rows, the
 batch routine behind vorticity_scalars and the CLI tables, instead
-gives nan for such a row and differences the other rows in one field
-call.
+gives nan for such a row and differences the other rows, of every field
+it is given, in one pass.
 
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
@@ -52,7 +55,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial, wraps
-from typing import Callable, NamedTuple, Union
+from typing import Callable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -86,6 +89,8 @@ _PERM_DG = 4 * _PERM[:, 3] + _PERM[:, 2]
 _RICHARDSON = np.array([1.0, -1.0, 0.5, -0.5])
 _EYE = np.eye(4)
 _UPPER = np.triu(np.ones((4, 4)), 1)
+# field rows per event in a difference pass: 16 stencil points, then the event
+_STENCIL_ROWS = 17
 # root of the smallest normal float: sqrt(-w.w) below it means w.w has lost
 # bits to underflow
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
@@ -129,8 +134,8 @@ class _Jet(NamedTuple):
     du: np.ndarray  # (n, 4, 4) lowered Jacobian du[n, a, b] = d_b u_a
 
 
-def _field_rows(spec: FieldLike) -> tuple[Callable[[np.ndarray], np.ndarray], float]:
-    """u^a at each row of an (n, 4) coordinate array, and the field's c.
+def _field_rows(spec: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
+    """u^a at each row of an (n, 4) coordinate array.
 
     A user VelocityField is called once per row.
     """
@@ -138,8 +143,8 @@ def _field_rows(spec: FieldLike) -> tuple[Callable[[np.ndarray], np.ndarray], fl
         def u_rows(x: np.ndarray) -> np.ndarray:
             return np.array([spec.u(Event(*row)) for row in x.tolist()], dtype=float)
 
-        return u_rows, spec.c
-    return partial(_u_rows, spec=spec), spec.c
+        return u_rows
+    return partial(_u_rows, spec=spec)
 
 
 def _step(rho: np.ndarray) -> np.ndarray:
@@ -180,21 +185,26 @@ def _fd_matrix(fn, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     and f at the rows of x.
 
     h holds one step per row. fn maps (m, 4) coordinate rows to (m, 4)
-    values and is called once, on the whole (n, 4 axes, 4 offsets, 4)
-    stencil (+-h and +-h/2 per axis) followed by the rows of x. One
-    Richardson level combines the central differences at h and h/2.
+    values and is called once, on _STENCIL_ROWS rows per event of x in
+    turn: its stencil (+-h and +-h/2 along each axis in turn), then the
+    event itself. The rows of events a to b are thus the one slice
+    [_STENCIL_ROWS * a : _STENCIL_ROWS * b]. One Richardson level combines
+    the central differences at h and h/2.
     """
     n = len(x)
     offsets = h[:, None] * _RICHARDSON
+    y = np.empty((n, _STENCIL_ROWS, 4))
     # adding 0.0 to the other coordinates leaves them bit-identical
-    stencil = x[:, None, None, :] + _EYE[None, :, None, :] * offsets[:, None, :, None]
-    values = fn(np.concatenate([stencil.reshape(-1, 4), x]))
-    f = values[: 16 * n].reshape(n, 4, 4, 4)
+    y[:, :16] = (x[:, None, None, :] + _EYE[None, :, None, :]
+                 * offsets[:, None, :, None]).reshape(n, 16, 4)
+    y[:, 16] = x
+    values = fn(y.reshape(-1, 4)).reshape(n, _STENCIL_ROWS, 4)
+    f = values[:, :16].reshape(n, 4, 4, 4)
     h = h[:, None, None]
     d1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h)
     # 2 * (h / 2) is h exactly
     d2 = (f[:, :, 2] - f[:, :, 3]) / h
-    return ((4.0 * d2 - d1) / 3.0).transpose(0, 2, 1), values[16 * n :]
+    return ((4.0 * d2 - d1) / 3.0).transpose(0, 2, 1), values[:, 16]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -203,30 +213,43 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _jet(spec: FieldLike, x: np.ndarray, h: np.ndarray) -> _Jet:
+def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
+         h: np.ndarray) -> _Jet:
     """u, g, u_low and the lowered Jacobian at each row of x, an (n, 4) array.
 
-    h holds one step per row; the stencils must fit (see _stencil_fits).
-    The field is called once, on the stencil and the events together; u
-    is u_low / g_a, so u_low is exactly the lowered field that was
-    differenced. Nothing is checked for overflow here.
+    groups holds (field, count) pairs: the rows of x are the events of
+    the first field, then those of the next, and so on. The fields share
+    c. h holds one step per row; the stencils must fit (see
+    _stencil_fits). One call of _fd_matrix differences every row: the
+    metric is evaluated once on all its rows, and each field once on its
+    own slice of them. u is u_low / g_a, so u_low is exactly the lowered
+    field that was differenced. Nothing is checked for overflow here.
     """
-    u_rows, c = _field_rows(spec)
-    rho = x[:, 1]
+    c = groups[0][0].c
+    slices, start = [], 0
+    for field, count in groups:
+        if count:
+            stop = start + _STENCIL_ROWS * count
+            slices.append((_field_rows(field), slice(start, stop)))
+            start = stop
+    g = None
 
     def lowered(y: np.ndarray) -> np.ndarray:
-        return metric_diag(y[:, 1], c) * u_rows(y)
+        nonlocal g
+        g = metric_diag(y[:, 1], c)
+        return g * np.concatenate([u_rows(y[rows]) for u_rows, rows in slices])
 
     du, u_low = _fd_matrix(lowered, x, h)
-    g = metric_diag(rho, c)
-    return _Jet(rho, c, u_low / g, g, u_low, du)
+    # the metric at the events: the last of each event's rows
+    g = g.reshape(len(x), _STENCIL_ROWS, 4)[:, 16]
+    return _Jet(x[:, 1], c, u_low / g, g, u_low, du)
 
 
 def _at(spec: FieldLike, event: Event) -> _Jet:
     x = event.coords()[None, :]
     h = _step(x[:, 1])
     _guard_stencil(spec, x[:, 1], h)
-    return _jet(spec, x, h)
+    return _jet([(spec, 1)], x, h)
 
 
 def _contravariant_jacobian(jet: _Jet) -> np.ndarray:
@@ -347,22 +370,35 @@ def vorticity_vector_from_tensor(spec: FieldLike, event: Event) -> FourVector:
 
 
 @_quiet
-def _scalar_rows(spec: FieldLike, x: np.ndarray) -> np.ndarray:
-    """Vorticity scalar at each row of x, an (n, 4) coordinate array.
+def _scalar_rows(fields: Sequence[FieldLike],
+                 xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Vorticity scalar at each row of xs[k], an (n_k, 4) coordinate array,
+    for the field fields[k]; the fields share c.
 
     A row is nan where its stencil does not fit (off the chart, or across
-    the gal light cylinder) or where a value is not finite. The field is
-    called once, on the rows that fit.
+    the gal light cylinder) or where a value is not finite. The rows that
+    fit, of every field, are differenced in one pass: one _fd_matrix call,
+    in which each field is called once, on its own rows.
     """
+    if any(field.c != fields[0].c for field in fields):
+        raise ValueError("fields differenced together must share c")
+    x = np.concatenate(xs)
     h = _step(x[:, 1])
-    fits = _stencil_fits(spec, x[:, 1], h)
+    fits = np.empty(len(x), dtype=bool)
+    groups, stops, start = [], [], 0
+    for field, part in zip(fields, xs):
+        stop = start + len(part)
+        ok = fits[start:stop] = _stencil_fits(field, x[start:stop, 1], h[start:stop])
+        groups.append((field, np.count_nonzero(ok)))
+        stops.append(stop)
+        start = stop
     out = np.full(len(x), np.nan)
     if fits.any():
-        jet = _jet(spec, x[fits], h[fits])
+        jet = _jet(groups, x[fits], h[fits])
         scalar = _norm_rows(jet, _eps_contract(jet, jet.du))
         finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(scalar)
         out[fits] = np.where(finite, scalar, np.nan)
-    return out
+    return [out[a:b] for a, b in zip([0] + stops, stops)]
 
 
 @_quiet
@@ -374,7 +410,7 @@ def vorticity_scalars(spec: FieldLike, coords: np.ndarray) -> np.ndarray:
     """
     x = np.asarray(coords, dtype=float).reshape(-1, 4)
     _guard_stencil(spec, x[:, 1], _step(x[:, 1]))
-    return _finite(_scalar_rows(spec, x))
+    return _finite(_scalar_rows([spec], [x])[0])
 
 
 def vorticity_scalar(spec: FieldLike, event: Event) -> float:

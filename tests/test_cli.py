@@ -331,9 +331,9 @@ class TestCompare:
         assert code == 0
         _, rows = parse_csv(out)
         assert [r["kind"] for r in rows] == ["gal", "tt", "mtt"]
-        assert float(rows[0]["omega_closed"]) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert float(rows[0]["omega_closed"]) == pytest.approx(2.0 / 3.0, rel=1e-12, abs=0.0)
         expected_tt = 0.5 * (math.sinh(0.5) * math.cosh(0.5) + 0.5)
-        assert float(rows[1]["omega_closed"]) == pytest.approx(expected_tt, rel=1e-12)
+        assert float(rows[1]["omega_closed"]) == pytest.approx(expected_tt, rel=1e-12, abs=0.0)
         assert rows[1]["omega_closed"] == rows[2]["omega_closed"]
 
     def test_horizon_marker_keeps_tt_finite(self, capsys):
@@ -351,7 +351,7 @@ class TestCompare:
         assert code == 0
         _, rows = parse_csv(out)
         values = [float(r["omega_closed"]) for r in rows]
-        assert values[0] == pytest.approx(values[1], rel=1e-9)
+        assert values[0] == pytest.approx(values[1], rel=1e-9, abs=0.0)
         assert values[1] == values[2]
 
 
@@ -365,8 +365,8 @@ class TestTransform:
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["t", "rho", "phi", "z"]
-        assert float(rows[0]["t"]) == pytest.approx(math.cosh(1.0), rel=1e-15)
-        assert float(rows[0]["phi"]) == pytest.approx(-math.sinh(1.0), rel=1e-15)
+        assert float(rows[0]["t"]) == pytest.approx(math.cosh(1.0), rel=1e-15, abs=0.0)
+        assert float(rows[0]["phi"]) == pytest.approx(-math.sinh(1.0), rel=1e-15, abs=0.0)
 
     def test_gal_round_trip(self, capsys):
         _, out, _ = run(
@@ -404,7 +404,7 @@ class TestTransform:
         )
         assert code == 0
         doc = json.loads(out)
-        assert doc["rows"][0]["t"] == pytest.approx(math.cosh(1.0), rel=1e-15)
+        assert doc["rows"][0]["t"] == pytest.approx(math.cosh(1.0), rel=1e-15, abs=0.0)
 
     def test_non_finite_flags_are_usage_errors(self, capsys):
         base = {"--map": "tt", "--rho": "1", "--omega": "1"}
@@ -497,27 +497,32 @@ class TestBatchedSweep:
 
 
 class TestModelReuse:
-    """omega and compare compute mtt rows once, as the tt rows relabelled."""
+    """omega and compare compute mtt rows once, as the tt rows relabelled.
+
+    compare differences its gal and tt rows in one _scalar_rows call;
+    omega makes one call per distinct model.
+    """
 
     SWEEP = ["--omega", "0.7", "--rho-min", "0.05", "--rho-max", "1.6", "--steps", "40",
              "--self-check"]
 
     @staticmethod
     def _spy(monkeypatch):
+        """The models of each _scalar_rows call, one tuple per call."""
         kinds = []
         real = cli._scalar_rows
 
-        def spy(spec, x):
-            kinds.append(spec.kind)
-            return real(spec, x)
+        def spy(fields, xs):
+            kinds.append(tuple(field.kind for field in fields))
+            return real(fields, xs)
 
         monkeypatch.setattr(cli, "_scalar_rows", spy)
         return kinds
 
     @pytest.mark.parametrize("perturb", ["", "1e-3"])
     @pytest.mark.parametrize("kinds,models", [
-        ("mtt", ["tt"]), ("mtt,gal", ["tt", "gal"]), ("tt,mtt", ["tt"]),
-        ("gal,tt,mtt,tt", ["gal", "tt"]),
+        ("mtt", [("tt",)]), ("mtt,gal", [("tt",), ("gal",)]), ("tt,mtt", [("tt",)]),
+        ("gal,tt,mtt,tt", [("gal",), ("tt",)]),
     ])
     def test_sweep_equals_the_per_kind_sweeps(self, capsys, monkeypatch, kinds,
                                                models, perturb):
@@ -542,7 +547,7 @@ class TestModelReuse:
         monkeypatch.setenv(cli.PERTURB_ENV, perturb)
         called = self._spy(monkeypatch)
         _, out, _ = run(capsys, ["compare", "--rho", rho, "--omega", "0.7"])
-        assert called == ["gal", "tt"]
+        assert called == [("gal", "tt")]
         _, sweep, _ = run(capsys, ["omega", "--rho-min", rho, "--rho-max", "1e3",
                                    "--steps", "2", "--omega", "0.7"])
         assert out.split("\n")[1:4] == sweep.split("\n")[1::2][:3]

@@ -10,7 +10,9 @@ name. ``python tests/test_closed_forms.py > tests/data/closed_forms.json``
 writes the table; the stored one was written before the closed forms
 shared one fixed-point evaluation. Its tt and mtt rows at subnormal rho
 were rewritten later, once the period stopped rounding 2 pi rho in the
-subnormal range (they held 6.0 for 2 pi, for one).
+subnormal range (they held 6.0 for 2 pi, for one), and so were the six
+per kind whose speed c tanh(lam) is subnormal, once the period stopped
+dividing by that speed (they held 2 pi for 2 pi / tanh 1, for one).
 
 The one intended difference from that table is _intended(): where
 rho * omega / c is infinite, tt and mtt gave a proper time rate (and a

@@ -328,10 +328,14 @@ class TestSpeedAndTiming:
     @pytest.mark.parametrize("rho,omega,c", [
         (5e-324, 1.0, 1.0), (1e-320, 1.0, 1.0), (1e-310, 1.0, 1.0), (5e-324, 1.0, 1e-300),
         (5e-324, 1e300, 1.0), (1e-310, 1e300, 1.0), (4.94e-321, 1.0, 5e-324),
+        (5e-324, 1.0, 5e-324), (4.940656e-318, 1e-6, 5e-324),
+        (4.940656458412465e-24, 1e-300, 5e-324),
     ])
     @pytest.mark.parametrize("kind", ["tt", "mtt"])
     def test_tt_period_at_subnormal_rho(self, kind, rho, omega, c):
-        # 2 pi rho rounds in the subnormal range: 5e-324 gave 6.0 for 2 pi
+        # 2 pi rho rounds in the subnormal range: 5e-324 gave 6.0 for 2 pi;
+        # so does a subnormal speed c tanh(lam): the last three gave 2 pi
+        # for 2 pi / tanh(1)
         with localcontext() as ctx:
             ctx.prec = 40
             lam = Decimal(rho) * Decimal(omega) / Decimal(c)

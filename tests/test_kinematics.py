@@ -268,7 +268,7 @@ class TestVorticityScalar:
         x = np.array([[0.0, 1.3, 0.0, 0.0]])
 
         def scalar(h):
-            jet = _jet(spec, x, np.array([h]))
+            jet = _jet([(spec, 1)], x, np.array([h]))
             return float(_norm_rows(jet, _eps_contract(jet, jet.du))[0])
 
         coarse, fine = scalar(2e-4), scalar(1e-4)
@@ -278,10 +278,10 @@ class TestVorticityScalar:
 class TestClosedForm:
     def test_values(self):
         assert omega_closed_form(1.0, CongruenceSpec("gal", 0.5)) == pytest.approx(
-            2.0 / 3.0, rel=1e-15
+            2.0 / 3.0, rel=1e-15, abs=0.0
         )
         assert omega_closed_form(1.0, CongruenceSpec("tt", 1.0)) == pytest.approx(
-            0.5 * (math.sinh(1.0) * math.cosh(1.0) + 1.0), rel=1e-15
+            0.5 * (math.sinh(1.0) * math.cosh(1.0) + 1.0), rel=1e-15, abs=0.0
         )
 
     def test_gal_horizon(self):
@@ -374,7 +374,7 @@ class TestOneJacobian:
                 np.testing.assert_allclose(got, ref, rtol=0.0,
                                            atol=1e-12 * max(1.0, np.max(np.abs(ref))))
             assert s.vorticity_scalar == pytest.approx(vorticity_scalar(field, e),
-                                                       rel=1e-12)
+                                                       rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("tol", [pytest.param(1e-9, id="extrapolated")])
     def test_product_rule_matches_differencing_u_up(self, tol):
@@ -389,7 +389,7 @@ class TestOneJacobian:
 
         for spec, e in _events(31, 30):
             jet = _at(spec, e)
-            u_rows, _ = _field_rows(spec)
+            u_rows = _field_rows(spec)
             x = e.coords()[None, :]
             ref, _ = _fd_matrix(u_rows, x, _step(x[:, 1]))
             ref = ref[0]
@@ -446,7 +446,7 @@ class TestScalarRows:
         x[:, 1] = [1e-5, 1.0, 400.0, 900.0, 2.5]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            out = _scalar_rows(spec, x)
+            (out,) = _scalar_rows([spec], [x])
         assert jacobians == [4]
         assert np.isnan(out[[0, 2, 3]]).all()
         assert out[[1, 4]].tolist() == vorticity_scalars(spec, x[[1, 4]]).tolist()
@@ -455,15 +455,46 @@ class TestScalarRows:
         jacobians.clear()
         spec = CongruenceSpec("gal", 0.5)
         x[:4, 1] = [1.0, 1.99995, 2.0, 3.0]
-        out = _scalar_rows(spec, x[:4])
+        (out,) = _scalar_rows([spec], [x[:4]])
         assert jacobians == [1]
         assert np.isnan(out[1:]).all()
         assert out[0] == vorticity_scalar(spec, Event(0.0, 1.0, 0.0))
         # no row fits: the field is not evaluated
         jacobians.clear()
-        assert np.isnan(_scalar_rows(spec, x[1:4])).all()
-        assert _scalar_rows(spec, np.zeros((0, 4))).shape == (0,)
+        assert np.isnan(_scalar_rows([spec], [x[1:4]])[0]).all()
+        assert _scalar_rows([spec], [np.zeros((0, 4))])[0].shape == (0,)
         assert jacobians == []
+
+    def test_mixed_fields_equal_the_per_field_calls_bitwise(self, jacobians):
+        from rotframes.kinematics import _scalar_rows
+
+        rng = np.random.default_rng(7)
+
+        def rows(rhos):
+            x = rng.normal(size=(len(rhos), 4))
+            x[:, 1] = rhos
+            return x
+
+        # gal at c / omega = 2: fits, stencil across the light cylinder, fits;
+        # tt: fits, scalar past the float range (rapidity 400), off the chart,
+        # u past the float range, fits; a user field; a gal field with no
+        # row that fits
+        gal = CongruenceSpec("gal", 0.5)
+        fields = [gal, CongruenceSpec("tt", 0.5), _user(CongruenceSpec("mtt", 0.3)), gal]
+        xs = [rows([1.0, 1.99995, 0.3]), rows([1.0, 800.0, 1e-5, 1800.0, 2.5]),
+              rows(rng.uniform(0.2, 3.0, 6)), rows([2.0, 3.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = _scalar_rows(fields, xs)
+        assert jacobians == [2 + 4 + 6]
+        singles = [_scalar_rows([f], [x])[0] for f, x in zip(fields, xs)]
+        assert [np.isnan(out).tolist() for out in mixed] == [
+            [False, True, False], [False, True, True, True, False], [False] * 6,
+            [True, True]]
+        for out, single in zip(mixed, singles):
+            assert np.array_equal(out, single, equal_nan=True)
+        with pytest.raises(ValueError, match="share c"):
+            _scalar_rows([gal, CongruenceSpec("tt", 0.5, 2.0)], xs[:2])
 
     def test_overflowing_cli_row_takes_one_jacobian(self, jacobians):
         from rotframes.cli import compute_row

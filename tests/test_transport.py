@@ -140,6 +140,16 @@ class TestKernels:
         with pytest.raises(ConstraintDriftError, match="drift"):
             fw_transport(replace(wl, a=0.5 * wl.a), e_r, 1.0, 1000)
 
+    def test_large_generator_fits_the_identity(self):
+        # at tt rapidity 50 the entries of M^3 reach about 5e192 and the
+        # norm of the identity's residual overflowed, failing a correct
+        # worldline; what the run gives past that check is not pinned here
+        wl = worldline(CongruenceSpec("tt", 1.0), 50.0)
+        try:
+            fw_transport(wl, (0.0, 0.0, 0.0, 1.0), proper_period(wl.spec, 50.0), 2**53, 2)
+        except ConstraintDriftError as exc:
+            assert "M^3" not in str(exc)
+
 
 class TestTransport:
     def test_static_worldline_spin_is_constant(self):
