@@ -25,10 +25,10 @@ indent=2 and sorted keys: floats print as Python repr, so they round-trip
 exactly, and non-finite values become null. Both formats are rendered a
 block of rows at a time (_render_csv, _render_json).
 
-omega and compare compute each distinct model once (congruences._MODEL):
-the mtt rows are the tt rows with their kind relabelled. compare
-differences its gal and tt rows in one kinematics._scalar_rows pass; omega
-makes one pass per model.
+omega, compare and precess each compute their rows with one compute_rows
+call: each distinct model once (congruences._MODEL), the mtt rows being
+the tt rows relabelled, differenced in one kinematics._scalar_rows call,
+whose passes are bounded in size.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
 or precess's fw_measured more than 1e-6 relative off the Thomas angle
@@ -64,6 +64,7 @@ from .congruences import (
     _MODEL,
     KINDS,
     CongruenceSpec,
+    _rapidity,
     gal_inverse,
     gal_map,
     omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
@@ -93,7 +94,8 @@ CSV_HEADER = (
 )
 ROW_FIELDS = CSV_HEADER.split(",")
 
-# a three-kind sweep of this many steps peaks at about 450 MB RSS
+# a three-kind sweep of this many steps peaks at about 275 MB RSS as CSV and
+# 460 MB as JSON (Python 3.11, numpy 2.4, x86-64 Linux)
 MAX_SWEEP_STEPS = 100_000
 PERTURB_ENV = "ROTFRAMES_SELF_CHECK_PERTURB"
 
@@ -152,56 +154,60 @@ def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
 
 
 def compute_rows(kinds: list[str], rhos, omega: float, c: float,
-                 perturb: float = 0.0) -> list[list[ReportRow]]:
-    """Evaluate the grid points of each kind; domain failures become marked rows.
+                 perturb: float = 0.0) -> list[ReportRow]:
+    """The rows of each kind in turn; domain failures become marked rows.
 
-    The closed-form columns of a row come from one
-    precession_per_revolution report; a row whose report raises
-    LightCylinderError is marked light_cylinder, and one that raises
-    another DomainError domain_error. The numeric scalars of the other
-    rows, of every kind, come from one kinematics._scalar_rows call,
-    multiplied by (1 + perturb); a row it gives as nan (stencil does not
-    fit, value not finite) is marked domain_error too.
+    Each distinct model (congruences._MODEL) is computed once, and a kind
+    it models gets its rows relabelled. The closed-form columns of a row
+    come from one precession_per_revolution report; a row whose report
+    raises LightCylinderError is marked light_cylinder, and one that
+    raises another DomainError domain_error. The numeric scalars of the
+    other rows, of every model, come from one kinematics._scalar_rows
+    call, multiplied by (1 + perturb); a row it gives as nan (stencil does
+    not fit, value not finite) is marked domain_error too.
     """
-    specs = [CongruenceSpec(kind, omega, c) for kind in kinds]
+    rhos = list(map(float, rhos))
+    lams = [_rapidity(rho, omega, c) for rho in rhos]
+    specs = [CongruenceSpec(model, omega, c)
+             for model in dict.fromkeys(_MODEL[kind] for kind in kinds)]
     tables, pendings, coords = [], [], []
     for spec in specs:
         rows, pending = [], []
-        for rho in map(float, rhos):
-            lam = rho * omega / c
+        for i, rho in enumerate(rhos):
             try:
-                report = precession_per_revolution(spec, rho)
+                # the report holds its row's slot until the row replaces it
+                rows.append(precession_per_revolution(spec, rho))
+                pending.append(i)
             except LightCylinderError:
-                rows.append(_marked_row(spec.kind, rho, lam, "light_cylinder"))
-                continue
+                rows.append(_marked_row(spec.kind, rho, lams[i], "light_cylinder"))
             except DomainError:
-                rows.append(_marked_row(spec.kind, rho, lam, "domain_error"))
-                continue
-            pending.append((len(rows), lam, report))
-            rows.append(None)
+                rows.append(_marked_row(spec.kind, rho, lams[i], "domain_error"))
         x = np.zeros((len(pending), 4))
-        x[:, 1] = [report.rho for _, _, report in pending]
+        x[:, 1] = [rhos[i] for i in pending]
         tables.append(rows)
         pendings.append(pending)
         coords.append(x)
     for spec, rows, pending, scalars in zip(specs, tables, pendings,
                                             _scalar_rows(specs, coords)):
-        for (i, lam, report), scalar in zip(pending, scalars.tolist()):
+        for i, scalar in zip(pending, scalars.tolist()):
             if math.isnan(scalar):
-                rows[i] = _marked_row(spec.kind, report.rho, lam, "domain_error")
+                rows[i] = _marked_row(spec.kind, rhos[i], lams[i], "domain_error")
                 continue
             scalar *= 1.0 + perturb
+            report = rows[i]
             closed = report.vorticity
-            rows[i] = ReportRow(spec.kind, report.rho, lam, scalar, closed,
+            rows[i] = ReportRow(spec.kind, rhos[i], lams[i], scalar, closed,
                                 abs(scalar - closed) / closed, report.speed,
                                 report.dtau_dt, report.delta_phi, report.net_angle)
-    return tables
+    computed = {spec.kind: rows for spec, rows in zip(specs, tables)}
+    return [row if row.kind == kind else row._replace(kind=kind)
+            for kind in kinds for row in computed[_MODEL[kind]]]
 
 
 def compute_row(kind: str, rho: float, omega: float, c: float,
                 perturb: float = 0.0) -> ReportRow:
     """Evaluate one grid point of one kind; a batch of one of compute_rows."""
-    return compute_rows([kind], [rho], omega, c, perturb)[0][0]
+    return compute_rows([kind], [rho], omega, c, perturb)[0]
 
 
 # rows per %-template: one encoder pass per block keeps the token list and
@@ -293,21 +299,6 @@ def _parse_kinds(raw: str) -> list[str]:
     return kinds
 
 
-def _rows_by_kind(kinds: list[str], compute) -> list[ReportRow]:
-    """The rows of each distinct model of kinds (congruences._MODEL), from
-    one compute(models) call, relabelled with each kind in turn.
-
-    compute returns one table of rows per model, in the order given.
-    """
-    models = list(dict.fromkeys(_MODEL[kind] for kind in kinds))
-    computed, rows = dict(zip(models, compute(models))), []
-    for kind in kinds:
-        model = _MODEL[kind]
-        rows += (computed[model] if model == kind
-                 else [row._replace(kind=kind) for row in computed[model]])
-    return rows
-
-
 def cmd_omega(args) -> int:
     kinds = _parse_kinds(args.kind)
     if not args.rho_min < args.rho_max:
@@ -317,12 +308,7 @@ def cmd_omega(args) -> int:
     if args.steps > MAX_SWEEP_STEPS:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
-    perturb = _perturbation()
-    # one difference pass per model: on a sweep, one pass over every model's
-    # rows takes as long as separate passes and doubles the peak memory
-    rows = _rows_by_kind(kinds, lambda models: [
-        compute_rows([model], grid, args.omega, args.c, perturb)[0]
-        for model in models])
+    rows = compute_rows(kinds, grid, args.omega, args.c, _perturbation())
     params = {
         "command": "omega",
         "kind": kinds,
@@ -337,11 +323,7 @@ def cmd_omega(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    perturb = _perturbation()
-    # one difference pass for all the models: at one point its fixed cost
-    # is most of the work
-    rows = _rows_by_kind(KINDS, lambda models: compute_rows(
-        models, [args.rho], args.omega, args.c, perturb))
+    rows = compute_rows(list(KINDS), [args.rho], args.omega, args.c, _perturbation())
     params = {
         "command": "compare",
         "rho": args.rho,

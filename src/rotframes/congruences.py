@@ -22,7 +22,7 @@ _fixed_point, which holds the one block per kind and the domain checks.
 fixed_point_speed, proper_time_rate, revolution_period and
 omega_closed_form read their value from it, and a value past the float
 range becomes one DomainError (_in_range). _u_rows is its array twin for
-the four-velocity.
+the four-velocity. lambda = rho omega / c has one rule, _rapidity.
 
 All operations are pure functions; a CongruenceSpec is immutable, so
 parameter sweeps can evaluate concurrently without coordination.
@@ -70,11 +70,26 @@ class CongruenceSpec:
             raise ValueError(f"c must be positive, got {self.c}")
 
 
+def _rapidity(rho: float, omega: float, c: float) -> float:
+    """lambda = rho * omega / c, the one rule for it.
+
+    rho * omega is formed first wherever it is a normal float or omega is
+    0. Where it is subnormal or 0 although omega is not, the quotient is
+    formed from the mantissas, and the binary exponents are added back
+    last, so the product's underflow does not reach lambda.
+    """
+    product = rho * omega
+    if product >= sys.float_info.min or not omega:
+        return product / c
+    (m_rho, e_rho), (m_omega, e_omega), (m_c, e_c) = map(math.frexp, (rho, omega, c))
+    return math.ldexp(m_rho * m_omega / m_c, e_rho + e_omega - e_c)
+
+
 def rapidity(rho: float, spec: CongruenceSpec) -> float:
     """Dimensionless boost parameter lambda = rho * omega / c."""
     if not rho > 0.0:
         raise DomainError(f"rho must be positive, got {rho}")
-    return rho * spec.omega / spec.c
+    return _rapidity(rho, spec.omega, spec.c)
 
 
 def _check_inside_light_cylinder(rho: float, spec: CongruenceSpec) -> None:
@@ -179,8 +194,9 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
     overflow warnings are left to the caller.
     """
     rho = x[:, 1]
-    if not (rho > 0.0).all():
-        raise DomainError(f"rho must be positive, got {rho.min()}")
+    rho_min = rho.min(initial=math.inf)
+    if not rho_min > 0.0:
+        raise DomainError(f"rho must be positive, got {rho_min}")
     u = np.zeros(x.shape)
     if spec.kind == GAL:
         _check_inside_light_cylinder(rho.max(initial=0.0), spec)
@@ -189,6 +205,10 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
         u[:, 2] = u[:, 0] * spec.omega
         return u
     lam = rho * spec.omega / spec.c
+    if spec.omega and rho_min * spec.omega < sys.float_info.min:
+        # rare: some rho * omega is not a normal float, so take _rapidity
+        # row by row (it keeps the bits of the other rows)
+        lam = np.array([_rapidity(r, spec.omega, spec.c) for r in rho.tolist()])
     try:
         u[:, 0] = _COSH(lam)
         u[:, 2] = _SINH(lam)
@@ -246,7 +266,7 @@ def _fixed_point(rho: float, spec: CongruenceSpec) -> _FixedPoint:
         u_t = 1.0 / dtau_dt
         return _FixedPoint(u_t, u_t * spec.omega, spec.omega * rho, dtau_dt,
                            spec.omega / gap)
-    lam = rho * spec.omega / spec.c
+    lam = _rapidity(rho, spec.omega, spec.c)
     try:
         ch, sh = math.cosh(lam), math.sinh(lam)
     except OverflowError:
@@ -265,28 +285,45 @@ def _in_range(value: float, rho: float, spec: CongruenceSpec) -> float:
     return value
 
 
-def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
-    """revolution_period from the fixed point fp at radius rho."""
+def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint,
+            rate: float = 1.0) -> float:
+    """revolution_period from the fixed point fp at radius rho, times rate.
+
+    rate = fp.dtau_dt gives proper_period, which is formed without the
+    lab period where only that leaves the float range. A rate past the
+    float range is the overflow DomainError where the lab period is not.
+    """
     if spec.omega == 0.0:
         raise DegenerateError("no revolution at omega = 0")
     if spec.kind == GAL:
         period = 2.0 * math.pi / spec.omega
-    elif fp.speed == 0.0:
-        raise DomainError(
-            f"rho * omega / c underflows the float range at rho = {rho}, "
-            f"omega = {spec.omega}, c = {spec.c}"
-        )
     elif fp.speed < sys.float_info.min:
-        # the speed c tanh(lam) lost bits in the subnormal range; rho / c
-        # and tanh(lam) did not, and their ratio keeps 2 pi rho out of it
-        lam = rho * spec.omega / spec.c
+        # the speed c tanh(lam) lost bits in the subnormal range, or is 0;
+        # rho / c and tanh(lam) did not, and their ratio keeps 2 pi rho out
+        # of it
+        lam = _rapidity(rho, spec.omega, spec.c)
+        if lam == 0.0:
+            raise DomainError(
+                f"rho * omega / c underflows the float range at rho = {rho}, "
+                f"omega = {spec.omega}, c = {spec.c}"
+            )
         period = 2.0 * math.pi * ((rho / spec.c) / math.tanh(lam))
     elif rho < sys.float_info.min:
         # 2 pi rho would round in the subnormal range; rho / speed does not
         period = 2.0 * math.pi * (rho / fp.speed)
     else:
         period = 2.0 * math.pi * rho / fp.speed
-    if not math.isfinite(period):
+    if period < math.inf:
+        return period * _in_range(rate, rho, spec)
+    if rate < 1.0:
+        # the lab period alone leaves the float range: 2 pi rate / omega
+        # (gal) and 2 pi (rho / c) / sinh(lam) (tt) need not
+        if spec.kind == GAL:
+            period = 2.0 * math.pi * rate / spec.omega
+        else:
+            lam = _rapidity(rho, spec.omega, spec.c)
+            period = 2.0 * math.pi * ((rho / spec.c) / math.sinh(lam))
+    if not period < math.inf:
         raise DomainError(
             f"revolution period exceeds the float range at rho = {rho}, "
             f"omega = {spec.omega}, c = {spec.c}"

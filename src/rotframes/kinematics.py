@@ -7,10 +7,10 @@ ones, whose closed forms (congruences.omega_closed_form) it is checked
 against. Everything runs on arrays of events, and a call at a single
 event is a batch of one. A difference pass lays out 17 rows per event:
 its stencil, four points per axis, then the event itself (_fd_matrix),
-so the rows of consecutive events are one contiguous slice. A pass may
-difference the events of several fields that share c, grouped by field:
-the metric is evaluated once on all rows, and each field once, on its
-own slice (_jet). The step follows from the radius alone (_step).
+so the rows of consecutive events are one contiguous slice. A pass, of
+at most _PASS events, may hold the events of several fields that share
+c, grouped by field: the metric is evaluated once on all rows, and each
+field once, on its own slice (_jet). The step follows from rho (_step).
 
 Each event gets one Jacobian, that of the lowered field,
 du[a, b] = d_b u_a. The metric is diagonal and depends only on rho, so
@@ -41,9 +41,9 @@ This module owns the rule for which events can be differenced: the
 stencil must stay off the axis and, for gal, inside the light cylinder
 (_stencil_fits). The public functions raise DomainError for an event
 that fails it or for a result that is not finite. _scalar_rows, the
-batch routine behind vorticity_scalars and the CLI tables, instead
-gives nan for such a row and differences the other rows, of every field
-it is given, in one pass.
+batch routine behind vorticity_scalars and the CLI tables (one call per
+command), gives nan for such a row instead and differences the other
+rows, of every field it is given, in passes of at most _PASS events.
 
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
@@ -91,6 +91,8 @@ _EYE = np.eye(4)
 _UPPER = np.triu(np.ones((4, 4)), 1)
 # field rows per event in a difference pass: 16 stencil points, then the event
 _STENCIL_ROWS = 17
+# events per difference pass, which bounds its arrays on a long sweep
+_PASS = 1024
 # root of the smallest normal float: sqrt(-w.w) below it means w.w has lost
 # bits to underflow
 _SQRT_TINY = np.sqrt(np.finfo(float).tiny)
@@ -217,9 +219,9 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
          h: np.ndarray) -> _Jet:
     """u, g, u_low and the lowered Jacobian at each row of x, an (n, 4) array.
 
-    groups holds (field, count) pairs: the rows of x are the events of
-    the first field, then those of the next, and so on. The fields share
-    c. h holds one step per row; the stencils must fit (see
+    groups holds (field, count) pairs, count > 0: the rows of x are the
+    events of the first field, then those of the next, and so on. The
+    fields share c. h holds one step per row; the stencils must fit (see
     _stencil_fits). One call of _fd_matrix differences every row: the
     metric is evaluated once on all its rows, and each field once on its
     own slice of them. u is u_low / g_a, so u_low is exactly the lowered
@@ -228,10 +230,9 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
     c = groups[0][0].c
     slices, start = [], 0
     for field, count in groups:
-        if count:
-            stop = start + _STENCIL_ROWS * count
-            slices.append((_field_rows(field), slice(start, stop)))
-            start = stop
+        stop = start + _STENCIL_ROWS * count
+        slices.append((_field_rows(field), slice(start, stop)))
+        start = stop
     g = None
 
     def lowered(y: np.ndarray) -> np.ndarray:
@@ -377,27 +378,39 @@ def _scalar_rows(fields: Sequence[FieldLike],
 
     A row is nan where its stencil does not fit (off the chart, or across
     the gal light cylinder) or where a value is not finite. The rows that
-    fit, of every field, are differenced in one pass: one _fd_matrix call,
-    in which each field is called once, on its own rows.
+    fit, of every field in turn, are differenced in passes of at most
+    _PASS events, one _fd_matrix call each, in which each field is called
+    once on its rows in the pass. A row's bits do not depend on its pass.
     """
     if any(field.c != fields[0].c for field in fields):
         raise ValueError("fields differenced together must share c")
     x = np.concatenate(xs)
     h = _step(x[:, 1])
     fits = np.empty(len(x), dtype=bool)
-    groups, stops, start = [], [], 0
+    counts, stops, start = [], [], 0
     for field, part in zip(fields, xs):
         stop = start + len(part)
         ok = fits[start:stop] = _stencil_fits(field, x[start:stop, 1], h[start:stop])
-        groups.append((field, np.count_nonzero(ok)))
+        counts.append(int(np.count_nonzero(ok)))
         stops.append(stop)
         start = stop
-    out = np.full(len(x), np.nan)
-    if fits.any():
-        jet = _jet(groups, x[fits], h[fits])
-        scalar = _norm_rows(jet, _eps_contract(jet, jet.du))
-        finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(scalar)
-        out[fits] = np.where(finite, scalar, np.nan)
+    x, h = x[fits], h[fits]
+    scalar = np.empty(len(x))
+    for a in range(0, len(x), _PASS):
+        b = a + _PASS
+        # the part inside [a, b) of each field's rows [first, first + count)
+        groups, first = [], 0
+        for field, count in zip(fields, counts):
+            n = min(b, first + count) - max(a, first)
+            if n > 0:
+                groups.append((field, n))
+            first += count
+        jet = _jet(groups, x[a:b], h[a:b])
+        w = _norm_rows(jet, _eps_contract(jet, jet.du))
+        finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(w)
+        scalar[a:b] = np.where(finite, w, np.nan)
+    out = np.full(len(fits), np.nan)
+    out[fits] = scalar
     return [out[a:b] for a, b in zip([0] + stops, stops)]
 
 

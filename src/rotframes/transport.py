@@ -223,7 +223,7 @@ def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
 
 def _proper_period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
     """proper_period from the fixed point fp at radius rho."""
-    return _period(rho, spec, fp) * _in_range(fp.dtau_dt, rho, spec)
+    return _period(rho, spec, fp, fp.dtau_dt)
 
 
 def proper_period(spec: CongruenceSpec, rho: float) -> float:

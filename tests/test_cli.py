@@ -499,8 +499,8 @@ class TestBatchedSweep:
 class TestModelReuse:
     """omega and compare compute mtt rows once, as the tt rows relabelled.
 
-    compare differences its gal and tt rows in one _scalar_rows call;
-    omega makes one call per distinct model.
+    Each command differences its rows in one _scalar_rows call, which
+    covers every distinct model once.
     """
 
     SWEEP = ["--omega", "0.7", "--rho-min", "0.05", "--rho-max", "1.6", "--steps", "40",
@@ -521,8 +521,8 @@ class TestModelReuse:
 
     @pytest.mark.parametrize("perturb", ["", "1e-3"])
     @pytest.mark.parametrize("kinds,models", [
-        ("mtt", [("tt",)]), ("mtt,gal", [("tt",), ("gal",)]), ("tt,mtt", [("tt",)]),
-        ("gal,tt,mtt,tt", [("gal",), ("tt",)]),
+        ("mtt", [("tt",)]), ("mtt,gal", [("tt", "gal")]), ("tt,mtt", [("tt",)]),
+        ("gal,tt,mtt,tt", [("gal", "tt")]),
     ])
     def test_sweep_equals_the_per_kind_sweeps(self, capsys, monkeypatch, kinds,
                                                models, perturb):

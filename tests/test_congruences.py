@@ -17,6 +17,7 @@ from rotframes import (
     gal_inverse,
     gal_map,
     omega_closed_form,
+    proper_period,
     proper_time_rate,
     rapidity,
     revolution_period,
@@ -210,7 +211,10 @@ class TestFourVelocity:
         rng = np.random.default_rng(43)
         coords = np.column_stack([rng.normal(size=200), rng.uniform(0.01, 40.0, 200),
                                   rng.normal(size=200), rng.normal(size=200)])
-        for kind, omega in (("gal", 0.02), ("tt", 0.7), ("mtt", 3.0), ("tt", 0.0)):
+        # omega = 1e-310: rho * omega is subnormal, and lambda takes the
+        # mantissa route of _rapidity
+        for kind, omega in (("gal", 0.02), ("tt", 0.7), ("mtt", 3.0), ("tt", 0.0),
+                            ("tt", 1e-310)):
             spec = CongruenceSpec(kind, omega, 0.9)
             rows = _u_rows(coords, spec)
             single = [_u_components(Event(*c), spec) for c in coords.tolist()]
@@ -329,13 +333,15 @@ class TestSpeedAndTiming:
         (5e-324, 1.0, 1.0), (1e-320, 1.0, 1.0), (1e-310, 1.0, 1.0), (5e-324, 1.0, 1e-300),
         (5e-324, 1e300, 1.0), (1e-310, 1e300, 1.0), (4.94e-321, 1.0, 5e-324),
         (5e-324, 1.0, 5e-324), (4.940656e-318, 1e-6, 5e-324),
-        (4.940656458412465e-24, 1e-300, 5e-324),
+        (4.940656458412465e-24, 1e-300, 5e-324), (5e-324, 1e-6, 5e-324),
+        (5e-324, 1e-300, 1e-300),
     ])
     @pytest.mark.parametrize("kind", ["tt", "mtt"])
     def test_tt_period_at_subnormal_rho(self, kind, rho, omega, c):
         # 2 pi rho rounds in the subnormal range: 5e-324 gave 6.0 for 2 pi;
-        # so does a subnormal speed c tanh(lam): the last three gave 2 pi
-        # for 2 pi / tanh(1)
+        # so does a subnormal speed c tanh(lam): the next three gave 2 pi
+        # for 2 pi / tanh(1); the last two were refused as an underflow,
+        # because rho * omega underflowed to 0
         with localcontext() as ctx:
             ctx.prec = 40
             lam = Decimal(rho) * Decimal(omega) / Decimal(c)
@@ -343,6 +349,47 @@ class TestSpeedAndTiming:
             expected = float(2 * PI_40 * Decimal(rho) / (Decimal(c) * tanh))
         assert revolution_period(rho, CongruenceSpec(kind, omega, c)) == pytest.approx(
             expected, rel=2e-16)
+
+    @pytest.mark.parametrize("rho,omega,c", [
+        (1e-300, 1e-300, 1e-300), (1e-6, 4e-308, 1e-6), (5e-324, 1e-6, 5e-324),
+        (1e-310, 0.5, 1e-300),
+    ])
+    def test_rapidity_where_rho_omega_is_not_a_normal_float(self, rho, omega, c):
+        # rho * omega underflowed or rounded in the subnormal range first:
+        # the first point gave lambda = 0 and a vorticity of 0.0
+        spec = CongruenceSpec("tt", omega, c)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+            sinh = _sinh_40(lam)
+            vorticity = Decimal(c) / (2 * Decimal(rho)) * (sinh * (sinh**2 + 1).sqrt() + lam)
+        assert rapidity(rho, spec) == pytest.approx(float(lam), rel=2.3e-16, abs=0.0)
+        assert omega_closed_form(rho, spec) == pytest.approx(float(vorticity), rel=5e-16,
+                                                             abs=0.0)
+
+    @pytest.mark.parametrize("kind,rho,omega,c,rel", [
+        # tt at rapidity 1: the lab period 2 pi (rho / c) / tanh(1) is
+        # about 2.06e308, the proper period 1/cosh(1) of it
+        ("tt", 1.2351641146031164e-16, 4e-308, 5e-324, 2.3e-16),
+        # gal at rho omega / c = 0.99: 2 pi / omega is about 6.3e308; the
+        # rate sqrt(1 - 0.99^2) carries 50 times the rounding of 0.99^2
+        ("gal", 9.9e306, 1e-308, 0.1, 2e-14),
+    ])
+    def test_proper_period_where_only_the_lab_period_overflows(self, kind, rho, omega, c,
+                                                               rel):
+        # the proper period was refused with the lab period
+        spec = CongruenceSpec(kind, omega, c)
+        with pytest.raises(DomainError, match="revolution period exceeds"):
+            revolution_period(rho, spec)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            if kind == "gal":
+                beta = Decimal(rho) * Decimal(omega) / Decimal(c)
+                expected = 2 * PI_40 * (1 - beta * beta).sqrt() / Decimal(omega)
+            else:
+                lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+                expected = 2 * PI_40 * Decimal(rho) / (Decimal(c) * _sinh_40(lam))
+        assert proper_period(spec, rho) == pytest.approx(float(expected), rel=rel, abs=0.0)
 
     def test_tt_period_keeps_its_form_at_normal_rho(self):
         spec = CongruenceSpec("tt", 1.0)

@@ -496,6 +496,51 @@ class TestScalarRows:
         with pytest.raises(ValueError, match="share c"):
             _scalar_rows([gal, CongruenceSpec("tt", 0.5, 2.0)], xs[:2])
 
+    def test_passes_that_straddle_fields_equal_the_per_field_calls(self, jacobians,
+                                                                  monkeypatch):
+        from rotframes import kinematics
+
+        rng = np.random.default_rng(11)
+
+        def rows(rhos):
+            x = rng.normal(size=(len(rhos), 4))
+            x[:, 1] = rhos
+            return x
+
+        # gal at c / omega = 2: four rows fit, one stencil crosses the light
+        # cylinder, one row is past it; tt: one scalar past the float range
+        fields = [CongruenceSpec("gal", 0.5), CongruenceSpec("tt", 0.5),
+                  _user(CongruenceSpec("mtt", 0.5))]
+        xs = [rows([1.0, 1.99995, 0.3, 1.5, 2.5, 0.9]), rows([1.0, 800.0, 2.5, 0.7]),
+              rows(rng.uniform(0.2, 3.0, 5))]
+        singles = [kinematics._scalar_rows([f], [x])[0] for f, x in zip(fields, xs)]
+        monkeypatch.setattr(kinematics, "_PASS", 3)
+        jacobians.clear()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mixed = kinematics._scalar_rows(fields, xs)
+        # passes: gal 3 | gal 1, tt 2 | tt 2, user 1 | user 3 | user 1
+        assert jacobians == [3, 3, 3, 3, 1]
+        assert np.isnan(mixed[0]).tolist() == [False, True, False, False, True, False]
+        assert np.isnan(mixed[1]).tolist() == [False, True, False, False]
+        for out, single in zip(mixed, singles):
+            assert np.array_equal(out, single, equal_nan=True)
+
+    def test_no_pass_exceeds_the_pass_size(self, capsys, jacobians, monkeypatch):
+        from rotframes import cli, kinematics
+
+        argv = ["omega", "--kind", "gal,tt,mtt", "--rho-min", "0.05", "--rho-max", "2.5",
+                "--steps", "20", "--omega", "0.5"]
+        assert cli.main(argv) == 0
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(kinematics, "_PASS", 3)
+        jacobians.clear()
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().out == expected
+        # the 16 gal rows inside c / omega = 2 and the 20 tt rows, which the
+        # mtt rows reuse
+        assert jacobians == [3] * 12
+
     def test_overflowing_cli_row_takes_one_jacobian(self, jacobians):
         from rotframes.cli import compute_row
 
