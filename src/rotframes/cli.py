@@ -26,9 +26,11 @@ exactly, and non-finite values become null. Both formats are rendered a
 block of rows at a time (_render_csv, _render_json).
 
 omega, compare and precess each compute their rows with one compute_rows
-call: each distinct model once (congruences._MODEL), the mtt rows being
-the tt rows relabelled, differenced in one kinematics._scalar_rows call,
-whose passes are bounded in size.
+call: each distinct model once (congruences._MODEL), differenced in one
+kinematics._scalar_rows call, whose passes are bounded in size. It
+returns one (kind, rows) section per kind, and kinds of one model share
+one rows list: the mtt rows are rendered once, as the tt section with its
+kind cell rewritten.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
 or precess's fw_measured more than 1e-6 relative off the Thomas angle
@@ -94,8 +96,8 @@ CSV_HEADER = (
 )
 ROW_FIELDS = CSV_HEADER.split(",")
 
-# a three-kind sweep of this many steps peaks at about 275 MB RSS as CSV and
-# 460 MB as JSON (Python 3.11, numpy 2.4, x86-64 Linux)
+# a three-kind sweep of this many steps peaks at about 231 MB RSS as CSV and
+# 343 MB as JSON (Python 3.11, numpy 2.4, x86-64 Linux)
 MAX_SWEEP_STEPS = 100_000
 PERTURB_ENV = "ROTFRAMES_SELF_CHECK_PERTURB"
 
@@ -154,17 +156,21 @@ def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
 
 
 def compute_rows(kinds: list[str], rhos, omega: float, c: float,
-                 perturb: float = 0.0) -> list[ReportRow]:
-    """The rows of each kind in turn; domain failures become marked rows.
+                 perturb: float = 0.0) -> list[tuple[str, list[ReportRow]]]:
+    """One (kind, rows) section per kind, in order; domain failures become
+    marked rows.
 
-    Each distinct model (congruences._MODEL) is computed once, and a kind
-    it models gets its rows relabelled. The closed-form columns of a row
-    come from one precession_per_revolution report; a row whose report
-    raises LightCylinderError is marked light_cylinder, and one that
-    raises another DomainError domain_error. The numeric scalars of the
-    other rows, of every model, come from one kinematics._scalar_rows
-    call, multiplied by (1 + perturb); a row it gives as nan (stencil does
-    not fit, value not finite) is marked domain_error too.
+    Each distinct model (congruences._MODEL) is computed once, and the
+    kinds it models share its one rows list, whose rows carry the model's
+    kind: the renderers format that list once and write it under each
+    kind (an mtt section is the tt section with its kind cell rewritten).
+    The closed-form columns of a row come from one
+    precession_per_revolution report; a row whose report raises
+    LightCylinderError is marked light_cylinder, and one that raises
+    another DomainError domain_error. The numeric scalars of the other
+    rows, of every model, come from one kinematics._scalar_rows call,
+    multiplied by (1 + perturb); a row it gives as nan (stencil does not
+    fit, value not finite) is marked domain_error too.
     """
     rhos = list(map(float, rhos))
     lams = [_rapidity(rho, omega, c) for rho in rhos]
@@ -200,20 +206,22 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
                                 abs(scalar - closed) / closed, report.speed,
                                 report.dtau_dt, report.delta_phi, report.net_angle)
     computed = {spec.kind: rows for spec, rows in zip(specs, tables)}
-    return [row if row.kind == kind else row._replace(kind=kind)
-            for kind in kinds for row in computed[_MODEL[kind]]]
+    return [(kind, computed[_MODEL[kind]]) for kind in kinds]
 
 
 def compute_row(kind: str, rho: float, omega: float, c: float,
                 perturb: float = 0.0) -> ReportRow:
-    """Evaluate one grid point of one kind; a batch of one of compute_rows."""
-    return compute_rows([kind], [rho], omega, c, perturb)[0]
+    """Evaluate one grid point of one kind; a batch of one of compute_rows,
+    its row relabelled with the kind."""
+    _, rows = compute_rows([kind], [rho], omega, c, perturb)[0]
+    return rows[0]._replace(kind=kind)
 
 
 # rows per %-template: one encoder pass per block keeps the token list and
 # the %-tuple small however long the table is
 _BLOCK = 512
 _NULL = dict.fromkeys(("NaN", "Infinity", "-Infinity"), "null")  # json's non-finite tokens
+_json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its overhead
 
 
 def _blocks(rows: list, row_template: str, sep: str):
@@ -223,20 +231,48 @@ def _blocks(rows: list, row_template: str, sep: str):
         yield block, sep.join([row_template] * len(block))
 
 
-def _render_csv(header: str, rows: list) -> str:
-    if not rows:
-        return header + "\n"
+def _section_texts(sections: list, render_body, fill) -> list[str]:
+    """The text of each non-empty (kind, rows) section, in order.
+
+    A section whose kind is None is a flat table, its rows printed as they
+    are. Otherwise the first cell of each row is the kind cell, and it
+    prints as fill(kind): render_body(rows, True) formats a rows list once,
+    with that cell left as a %s slot, and each section sharing the list
+    fills the slots of that one body. The slot is safe because no other
+    cell of such a table, nor a field name, can print a %: the cells are
+    floats, null and the statuses ok, light_cylinder and domain_error.
+    """
+    bodies, texts = {}, []
+    for kind, rows in sections:
+        if not rows:
+            continue
+        body = bodies.get(id(rows))
+        if body is None:
+            body = bodies[id(rows)] = render_body(rows, kind is not None)
+        texts.append(body if kind is None else body % ((fill(kind),) * len(rows)))
+    return texts
+
+
+def _csv_body(rows: list, slotted: bool) -> str:
+    first = 1 if slotted else 0  # the first cell that is formatted here
     # "%.17g" prints nan and inf as format() does
-    fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0])
-    parts = [header]
-    for block, template in _blocks(rows, fmt, "\n"):
-        parts.append(template % tuple(chain.from_iterable(block)))
-    return "\n".join(parts) + "\n"
+    fmt = ",".join("%s" if isinstance(v, str) else "%.17g" for v in rows[0][first:])
+    if slotted:
+        fmt = "%%s," + fmt
+    cells = itemgetter(*range(first, len(rows[0])))  # a tuple: every table has 2+ cells
+    return "\n".join(template % tuple(chain.from_iterable(map(cells, block)))
+                     for block, template in _blocks(rows, fmt, "\n"))
 
 
-def _render_json(params: dict, field_names: list[str], rows: list) -> str:
+def _render_csv(header: str, sections: list) -> str:
+    """The header line and then each section's rows (see _section_texts)."""
+    return "\n".join([header, *_section_texts(sections, _csv_body, str), ""])
+
+
+def _render_json(params: dict, field_names: list[str], sections: list) -> str:
     """The bytes of json.dumps({"params", "rows", "version"}, indent=2,
-    sort_keys=True) with non-finite numbers as null.
+    sort_keys=True) with non-finite numbers as null, the rows being each
+    section's rows in turn (see _section_texts).
 
     indent makes json.dumps use its pure-Python encoder, so the rows
     instead fill a key-sorted %-template one block at a time. A block's
@@ -245,24 +281,39 @@ def _render_json(params: dict, field_names: list[str], rows: list) -> str:
     """
     head = json.dumps({"params": params}, indent=2, sort_keys=True)[:-2]
     order = sorted(range(len(field_names)), key=field_names.__getitem__)
-    row_template = "    {\n      " + ",\n      ".join(
-        json.dumps(field_names[i]) + ": %s" for i in order) + "\n    }"
-    sorted_row = itemgetter(*order)  # a tuple for the two or more fields a table has
-    parts = []
-    for block, template in _blocks(rows, row_template, ",\n"):
-        values = list(chain.from_iterable(map(sorted_row, block)))
-        tokens = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-        parts.append(template % tuple(map(_NULL.get, tokens, tokens)))
-    body = "[\n" + ",\n".join(parts) + "\n  ]" if parts else "[]"
-    return f'{head},\n  "rows": {body},\n  "version": {json.dumps(__version__)}\n}}\n'
+    keys = {i: _json_str(field_names[i]) for i in order}
+
+    def body(rows: list, slotted: bool) -> str:
+        # the kind cell, field 0, of a slotted table is left as a %s slot
+        row_template = "    {\n      " + ",\n      ".join(
+            keys[i] + (": %%s" if slotted and i == 0 else ": %s")
+            for i in order) + "\n    }"
+        cells = itemgetter(*[i for i in order if i or not slotted])
+        parts = []
+        for block, template in _blocks(rows, row_template, ",\n"):
+            values = list(chain.from_iterable(map(cells, block)))
+            tokens = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
+            parts.append(template % tuple(map(_NULL.get, tokens, tokens)))
+        return ",\n".join(parts)
+
+    version = _json_str(__version__)
+    texts = _section_texts(sections, body, _json_str)
+    if not texts:
+        return f'{head},\n  "rows": [],\n  "version": {version}\n}}\n'
+    pieces = [f'{head},\n  "rows": [\n']
+    for text in texts:
+        pieces += (text, ",\n")
+    pieces[-1] = f'\n  ],\n  "version": {version}\n}}\n'
+    return "".join(pieces)
 
 
-def _emit(args, params: dict, field_names: list[str], rows: list) -> None:
-    """Write the rows as CSV or JSON (--format) to --out or stdout."""
+def _emit(args, params: dict, field_names: list[str], sections: list) -> None:
+    """Write the (kind, rows) sections as CSV or JSON (--format) to --out or
+    stdout."""
     if args.format == "json":
-        text = _render_json(params, field_names, rows)
+        text = _render_json(params, field_names, sections)
     else:
-        text = _render_csv(",".join(field_names), rows)
+        text = _render_csv(",".join(field_names), sections)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
@@ -270,23 +321,26 @@ def _emit(args, params: dict, field_names: list[str], rows: list) -> None:
         sys.stdout.write(text)
 
 
-def _gate(args, rows: list[ReportRow]) -> int:
+def _gate(args, sections: list) -> int:
+    """Exit 2 under --self-check at the first row, in output order, whose
+    rel_err is above the tolerance, naming its section's kind."""
     if not args.self_check:
         return EXIT_OK
-    for row in rows:
-        if math.isfinite(row.rel_err) and row.rel_err > SELF_CHECK_TOL:
-            print(
-                f"self-check failed: rel_err {row.rel_err:.3e} at "
-                f"kind={row.kind} rho={row.rho}",
-                file=sys.stderr,
-            )
-            return EXIT_SELF_CHECK
+    for kind, rows in sections:
+        for row in rows:
+            if math.isfinite(row.rel_err) and row.rel_err > SELF_CHECK_TOL:
+                print(
+                    f"self-check failed: rel_err {row.rel_err:.3e} at "
+                    f"kind={kind} rho={row.rho}",
+                    file=sys.stderr,
+                )
+                return EXIT_SELF_CHECK
     return EXIT_OK
 
 
-def _emit_report(args, params: dict, rows: list[ReportRow]) -> int:
-    _emit(args, params, ROW_FIELDS, rows)
-    return _gate(args, rows)
+def _emit_report(args, params: dict, sections: list) -> int:
+    _emit(args, params, ROW_FIELDS, sections)
+    return _gate(args, sections)
 
 
 def _parse_kinds(raw: str) -> list[str]:
@@ -308,7 +362,7 @@ def cmd_omega(args) -> int:
     if args.steps > MAX_SWEEP_STEPS:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
-    rows = compute_rows(kinds, grid, args.omega, args.c, _perturbation())
+    sections = compute_rows(kinds, grid, args.omega, args.c, _perturbation())
     params = {
         "command": "omega",
         "kind": kinds,
@@ -319,11 +373,12 @@ def cmd_omega(args) -> int:
         "c": args.c,
         "format": args.format,
     }
-    return _emit_report(args, params, rows)
+    return _emit_report(args, params, sections)
 
 
 def cmd_compare(args) -> int:
-    rows = compute_rows(list(KINDS), [args.rho], args.omega, args.c, _perturbation())
+    sections = compute_rows(list(KINDS), [args.rho], args.omega, args.c,
+                            _perturbation())
     params = {
         "command": "compare",
         "rho": args.rho,
@@ -331,7 +386,7 @@ def cmd_compare(args) -> int:
         "c": args.c,
         "format": args.format,
     }
-    return _emit_report(args, params, rows)
+    return _emit_report(args, params, sections)
 
 
 def cmd_precess(args) -> int:
@@ -365,8 +420,8 @@ def cmd_precess(args) -> int:
             raise DomainError(f"{exc}; increase --fw-check") from exc
         names = ROW_FIELDS + ["fw_measured", "fw_deviation"]
         values = (*row, fw_measured, fw_measured - row.delta_phi_prime)
-    _emit(args, params, names, [values])
-    code = _gate(args, [row])
+    _emit(args, params, names, [(None, [values])])
+    code = _gate(args, [(row.kind, [row])])
     if code == EXIT_OK and args.self_check and args.fw_check is not None:
         # the Thomas angle -2 pi u^t is the dyad-referenced reference of every kind
         thomas = -2.0 * math.pi / row.dtau_dt
@@ -399,7 +454,8 @@ def cmd_transform(args) -> int:
         "c": args.c,
         "format": args.format,
     }
-    _emit(args, params, ["t", "rho", "phi", "z"], [[out.t, out.rho, out.phi, out.z]])
+    _emit(args, params, ["t", "rho", "phi", "z"],
+          [(None, [[out.t, out.rho, out.phi, out.z]])])
     return EXIT_OK
 
 

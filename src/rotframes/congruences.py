@@ -44,8 +44,9 @@ GAL = "gal"
 TT = "tt"
 MTT = "mtt"
 KINDS = (GAL, TT, MTT)
-# the kind that models each kind's fixed points; mtt rows are tt rows
-# with their kind relabelled
+# the kind that models each kind's fixed points; mtt rows are computed as
+# the tt rows, and rendered once, as the tt section with its kind cell
+# rewritten
 _MODEL = {GAL: GAL, TT: TT, MTT: TT}
 
 
@@ -274,8 +275,12 @@ def _fixed_point(rho: float, spec: CongruenceSpec) -> _FixedPoint:
     # past lam = 710.5 (or at lam = inf, where cosh does not raise) u^t is
     # out of range, although 1 / cosh(lam) would still be a float
     dtau_dt = 1.0 / ch if ch < math.inf else math.inf
+    two_rho = 2.0 * rho
+    # where 2 rho overflows (rho above 8.99e307), c / 2 is exact and the
+    # quotient is rounded once; elsewhere c / (2 rho) keeps its bits
+    half_c_rho = spec.c / two_rho if two_rho < math.inf else (0.5 * spec.c) / rho
     return _FixedPoint(ch, (spec.c / rho) * sh, spec.c * math.tanh(lam), dtau_dt,
-                       (spec.c / (2.0 * rho)) * (sh * ch + lam))
+                       half_c_rho * (sh * ch + lam))
 
 
 def _in_range(value: float, rho: float, spec: CongruenceSpec) -> float:
@@ -308,8 +313,9 @@ def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint,
                 f"omega = {spec.omega}, c = {spec.c}"
             )
         period = 2.0 * math.pi * ((rho / spec.c) / math.tanh(lam))
-    elif rho < sys.float_info.min:
-        # 2 pi rho would round in the subnormal range; rho / speed does not
+    elif rho < sys.float_info.min or 2.0 * math.pi * rho == math.inf:
+        # 2 pi rho would round in the subnormal range, or overflow (rho
+        # above 2.86e307) where the period need not; rho / speed does neither
         period = 2.0 * math.pi * (rho / fp.speed)
     else:
         period = 2.0 * math.pi * rho / fp.speed

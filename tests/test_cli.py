@@ -554,6 +554,47 @@ class TestModelReuse:
         assert [line.split(",")[0] for line in out.split("\n")[1:4]] == ["gal", "tt", "mtt"]
 
 
+class TestRenderOnce:
+    """Kinds of one model share one rendered body: an mtt section is the tt
+    body with its kind cell rewritten."""
+
+    SWEEP = TestModelReuse.SWEEP
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("kinds,bodies", [
+        ("gal,tt,mtt", 2), ("tt,mtt,tt", 1), ("mtt", 1),
+    ])
+    def test_each_model_is_formatted_once(self, capsys, monkeypatch, fmt, kinds,
+                                          bodies):
+        calls = []
+        real = cli._blocks
+
+        def spy(rows, row_template, sep):
+            calls.append(len(rows))
+            return real(rows, row_template, sep)
+
+        monkeypatch.setattr(cli, "_blocks", spy)
+        code, _, _ = run(capsys, ["omega", "--kind", kinds, "--format", fmt]
+                           + self.SWEEP)
+        assert code == 0 and calls == [40] * bodies
+
+    def test_precess_names_mtt(self, capsys, monkeypatch):
+        argv = ["precess", "--kind", "mtt", "--rho", "1", "--omega", "0.5"]
+        _, out, _ = run(capsys, argv)
+        assert parse_csv(out)[1][0]["kind"] == "mtt"
+        _, out, _ = run(capsys, argv + ["--format", "json"])
+        assert json.loads(out)["rows"][0]["kind"] == "mtt"
+        monkeypatch.setenv(cli.PERTURB_ENV, "1e-5")
+        code, _, err = run(capsys, argv + ["--self-check"])
+        assert code == 2 and "kind=mtt rho=1.0" in err
+
+    def test_self_check_names_the_first_section(self, capsys, monkeypatch):
+        monkeypatch.setenv(cli.PERTURB_ENV, "1e-5")
+        code, out, err = run(capsys, ["omega", "--kind", "mtt,tt"] + self.SWEEP)
+        assert code == 2 and "kind=mtt rho=0.05" in err
+        assert [r["kind"] for r in parse_csv(out)[1]] == ["mtt"] * 40 + ["tt"] * 40
+
+
 class TestOverflow:
     # rapidity rho * omega / c: sinh cosh leaves the float range above 355,
     # cosh itself above 710
@@ -696,8 +737,8 @@ def test_csv_rows_match_per_value_formatting():
         ",".join(v if isinstance(v, str) else format(float(v), ".17g") for v in row)
         for row in rows
     ]
-    assert _render_csv("a,b", rows) == "\n".join(expected) + "\n"
-    assert _render_csv("a,b", []) == "a,b\n"
+    assert _render_csv("a,b", [(None, rows)]) == "\n".join(expected) + "\n"
+    assert _render_csv("a,b", [(None, [])]) == "a,b\n"
 
 
 class TestNegativeExponent:

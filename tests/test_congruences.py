@@ -391,6 +391,35 @@ class TestSpeedAndTiming:
                 expected = 2 * PI_40 * Decimal(rho) / (Decimal(c) * _sinh_40(lam))
         assert proper_period(spec, rho) == pytest.approx(float(expected), rel=rel, abs=0.0)
 
+    @pytest.mark.parametrize("rho,omega,c", [
+        (1e308, 1e-300, 1e10), (1.5e308, 5e-301, 1e8), (9e307, 1.6e-308, 1.0),
+    ])
+    @pytest.mark.parametrize("kind", ["tt", "mtt"])
+    def test_tt_vorticity_where_2_rho_overflows(self, kind, rho, omega, c):
+        # 2 rho overflowed in c / (2 rho): the first point gave 0.0
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+            sinh = _sinh_40(lam)
+            vorticity = Decimal(c) / (2 * Decimal(rho)) * (sinh * (sinh**2 + 1).sqrt() + lam)
+        assert omega_closed_form(rho, CongruenceSpec(kind, omega, c)) == pytest.approx(
+            float(vorticity), rel=5e-16, abs=0.0)
+
+    @pytest.mark.parametrize("rho,omega,c", [(1e308, 1e-300, 1e10), (5e307, 1e-300, 1e10)])
+    @pytest.mark.parametrize("kind", ["tt", "mtt"])
+    def test_tt_period_where_only_2_pi_rho_overflows(self, kind, rho, omega, c):
+        # 2 pi rho overflowed: the lab period (about 6.3e300 at the first
+        # point) was refused while the proper period was not
+        spec = CongruenceSpec(kind, omega, c)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+            sinh = _sinh_40(lam)
+            expected = 2 * PI_40 * Decimal(rho) * (sinh**2 + 1).sqrt() / (Decimal(c) * sinh)
+        period = revolution_period(rho, spec)
+        assert period == pytest.approx(float(expected), rel=5e-16, abs=0.0)
+        assert period * proper_time_rate(rho, spec) == proper_period(spec, rho)
+
     def test_tt_period_keeps_its_form_at_normal_rho(self):
         spec = CongruenceSpec("tt", 1.0)
         for rho in (sys.float_info.min, 1e-300, 1.0):

@@ -5,7 +5,9 @@ sort_keys=True) prints, with non-finite numbers as null, and _render_csv
 exactly format(v, ".17g") per number. The tables are seeded draws that
 hold the values where a float's repr or its 17-digit form changes shape,
 for every field list the CLI emits and for row counts around the block
-size.
+size. A flat table is one (None, rows) section; a report table split into
+(kind, rows) sections, some sharing one rows list, must print as the
+flat table of its rows with each kind cell rewritten to its section's.
 """
 
 import json
@@ -17,7 +19,7 @@ import pytest
 
 import rotframes
 from rotframes import cli
-from rotframes.cli import ROW_FIELDS, _render_csv, _render_json
+from rotframes.cli import CSV_HEADER, ROW_FIELDS, _render_csv, _render_json
 
 SPECIAL = [
     math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -5e-324, 1e-310, 1e-05,
@@ -93,7 +95,7 @@ def test_json_matches_json_dumps_with_indent(table, n):
     rng = np.random.default_rng([17, n, len(table)])
     names = TABLES[table][0]
     rows = _table(rng, table, n)
-    assert _render_json(PARAMS[table], names, rows) == _reference_json(
+    assert _render_json(PARAMS[table], names, [(None, rows)]) == _reference_json(
         PARAMS[table], names, rows)
 
 
@@ -103,21 +105,34 @@ def test_csv_matches_per_value_formatting(table, n):
     rng = np.random.default_rng([19, n, len(table)])
     names = TABLES[table][0]
     rows = _table(rng, table, n)
-    assert _render_csv(",".join(names), rows) == _reference_csv(names, rows)
+    assert _render_csv(",".join(names), [(None, rows)]) == _reference_csv(names, rows)
+
+
+@pytest.mark.parametrize("n", SIZES)
+def test_sections_match_the_relabelled_flat_table(n):
+    rng = np.random.default_rng([29, n])
+    shared, other = _table(rng, "report", n), _table(rng, "report", n // 3 + 2)
+    sections = [("mtt", shared), ("gal", other), ("tt", shared), ("tt", [])]
+    flat = [(kind, *row[1:]) for kind, rows in sections for row in rows]
+    params = PARAMS["report"]
+    assert _render_json(params, ROW_FIELDS, sections) == _reference_json(
+        params, ROW_FIELDS, flat)
+    assert _render_csv(CSV_HEADER, sections) == _reference_csv(ROW_FIELDS, flat)
 
 
 def test_every_special_value_in_one_row():
     names = [f"x{i}" for i in range(len(SPECIAL))] + ["kind"]
     rows = [SPECIAL + ["gal"], [np.float64(v) for v in SPECIAL] + ["tt"]]
     params = {"command": "omega"}
-    assert _render_json(params, names, rows) == _reference_json(params, names, rows)
-    assert _render_csv(",".join(names), rows) == _reference_csv(names, rows)
+    assert _render_json(params, names, [(None, rows)]) == _reference_json(
+        params, names, rows)
+    assert _render_csv(",".join(names), [(None, rows)]) == _reference_csv(names, rows)
 
 
 def test_json_rows_round_trip():
     rng = np.random.default_rng(23)
     rows = _table(rng, "report", cli._BLOCK + 3)
-    parsed = json.loads(_render_json(PARAMS["report"], ROW_FIELDS, rows))["rows"]
+    parsed = json.loads(_render_json(PARAMS["report"], ROW_FIELDS, [(None, rows)]))["rows"]
     for row, back in zip(rows, parsed):
         for name, v in zip(ROW_FIELDS, row):
             if isinstance(v, str):
