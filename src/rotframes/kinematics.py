@@ -13,26 +13,29 @@ c, grouped by field: the metric is evaluated once on all rows, and each
 field once, on its own slice (_jet). The step follows from rho (_step).
 
 Each event gets one Jacobian, that of the lowered field,
-du[a, b] = d_b u_a. The metric is diagonal and depends only on rho, so
-the contravariant Jacobian follows from it by the product rule
+du[a, b] = d_b u_a, and the acceleration, the vorticity tensor and both
+vorticity routes are computed from it (17 field evaluations per event:
+16 stencil points and the event itself). The metric is diagonal and
+depends only on rho, so the one metric derivative, d_rho g_phi = -2 rho,
+enters the lowered acceleration
 
-    d_b u^a = (d_b u_a - delta_b^rho (d_rho g_a) u^a) / g_a,
+    u_dot_a = u^b d_b u_a - d_a g_bc u^b u^c / 2
 
-and the acceleration, the vorticity tensor and both vorticity routes are
-computed from that one Jacobian (17 field evaluations per event: 16
-stencil points and the event itself). The two routes to
-the vorticity vector are
+and nothing else. The connection never enters the tensor route: it is
+symmetric in its lower indices, so it cancels exactly in the
+antisymmetrized covariant derivative, and w_ab is built from comma
+derivatives alone. The two routes to the vorticity vector are
 
 * direct: contract the permutation symbol with u and the comma
   derivatives of the lowered field,
       w^a = eps^{abgd} u_b d_g u_d / (2 c sqrt(-det g)),
-* via the tensor: build w_ab from antisymmetrized covariant derivatives
+* via the tensor: build w_ab from the antisymmetrized comma derivatives
   minus the acceleration bivector and contract the same way.
 
-Connection and acceleration terms cancel under the eps-contraction with
-u_b, so the routes agree to rounding plus differencing error; the test
-suite leans on that as a cross-check. It checks the cancellation, not two
-independent derivatives: both routes read the same Jacobian. The
+The acceleration bivector cancels under the eps-contraction with u_b, so
+the routes agree to rounding; the test suite leans on that as a
+cross-check. It checks that cancellation, not two independent
+derivatives: both routes read the same Jacobian. The
 prefactor uses the tangent normalized to unit norm (u / c), which keeps
 the vorticity scalar an angular rate per unit proper time for any value
 of c.
@@ -74,7 +77,6 @@ from .tensors import (
     RHO,
     Event,
     FourVector,
-    _christoffel,
     metric_diag,
 )
 
@@ -87,10 +89,15 @@ _PERM_DG = 4 * _PERM[:, 3] + _PERM[:, 2]
 
 # stencil offsets per axis in units of the step: +-h, then +-h/2 for Richardson
 _RICHARDSON = np.array([1.0, -1.0, 0.5, -0.5])
-_EYE = np.eye(4)
-_UPPER = np.triu(np.ones((4, 4)), 1)
 # field rows per event in a difference pass: 16 stencil points, then the event
 _STENCIL_ROWS = 17
+# the offset of each row in units of the step, four rows per axis in turn; the
+# event's row is zero. Made as eye * offset, so the other coordinates get
+# +0.0 or -0.0 with the sign of the offset.
+_OFFSETS = np.zeros((_STENCIL_ROWS, 4))
+_OFFSETS[:16] = (np.eye(4)[:, None, :] * _RICHARDSON[:, None]).reshape(16, 4)
+# the spans of the two central differences, in units of the step: 2h, then h
+_SPANS = np.array([[2.0], [1.0]])
 # events per difference pass, which bounds its arrays on a long sweep
 _PASS = 1024
 # root of the smallest normal float: sqrt(-w.w) below it means w.w has lost
@@ -194,19 +201,14 @@ def _fd_matrix(fn, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray
     the central differences at h and h/2.
     """
     n = len(x)
-    offsets = h[:, None] * _RICHARDSON
-    y = np.empty((n, _STENCIL_ROWS, 4))
-    # adding 0.0 to the other coordinates leaves them bit-identical
-    y[:, :16] = (x[:, None, None, :] + _EYE[None, :, None, :]
-                 * offsets[:, None, :, None]).reshape(n, 16, 4)
+    # adding +-0.0 to the other coordinates leaves them bit-identical
+    y = x[:, None, :] + h[:, None, None] * _OFFSETS
     y[:, 16] = x
     values = fn(y.reshape(-1, 4)).reshape(n, _STENCIL_ROWS, 4)
     f = values[:, :16].reshape(n, 4, 4, 4)
-    h = h[:, None, None]
-    d1 = (f[:, :, 0] - f[:, :, 1]) / (2.0 * h)
-    # 2 * (h / 2) is h exactly
-    d2 = (f[:, :, 2] - f[:, :, 3]) / h
-    return ((4.0 * d2 - d1) / 3.0).transpose(0, 2, 1), values[:, 16]
+    # the central differences at h and h / 2: 2 * (h / 2) is h exactly
+    d = (f[:, :, 0::2] - f[:, :, 1::2]) / (h[:, None, None, None] * _SPANS)
+    return ((4.0 * d[:, :, 1] - d[:, :, 0]) / 3.0).transpose(0, 2, 1), values[:, 16]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -238,6 +240,8 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
     def lowered(y: np.ndarray) -> np.ndarray:
         nonlocal g
         g = metric_diag(y[:, 1], c)
+        if len(slices) == 1:
+            return g * slices[0][0](y)
         return g * np.concatenate([u_rows(y[rows]) for u_rows, rows in slices])
 
     du, u_low = _fd_matrix(lowered, x, h)
@@ -253,31 +257,25 @@ def _at(spec: FieldLike, event: Event) -> _Jet:
     return _jet([(spec, 1)], x, h)
 
 
-def _contravariant_jacobian(jet: _Jet) -> np.ndarray:
-    """d_b u^a from the lowered Jacobian by the diagonal-metric product rule."""
-    d = jet.du.copy()
-    # the only metric derivative is d_rho g_phi = -2 rho
-    d[:, PHI, RHO] += 2.0 * jet.rho * jet.u[:, PHI]
-    return d / jet.g[:, :, None]
+def _acceleration_low(jet: _Jet) -> np.ndarray:
+    """The lowered acceleration u_dot_a = u^b d_b u_a - d_a g_bc u^b u^c / 2.
+
+    The only metric derivative is d_rho g_phi = -2 rho, so the metric term
+    is rho (u^phi)^2 in the rho component.
+    """
+    a = (jet.du @ jet.u[:, :, None])[:, :, 0]
+    a[:, RHO] += jet.rho * (jet.u[:, PHI] * jet.u[:, PHI])
+    return a
 
 
-def _acceleration_rows(jet: _Jet, gam: np.ndarray) -> np.ndarray:
-    return np.einsum("nab,nb->na", _contravariant_jacobian(jet), jet.u) + np.einsum(
-        "nabg,nb,ng->na", gam, jet.u, jet.u
-    )
+def _tensor_rows(jet: _Jet, a_low: np.ndarray) -> np.ndarray:
+    """w = (X - X^T) / 2 with X_ab = d_b u_a - u_dot_a u_b / c^2.
 
-
-def _tensor_rows(jet: _Jet, gam: np.ndarray, u_dot: np.ndarray) -> np.ndarray:
-    u_low = jet.u_low
-    # cd[n, a, b] = covariant derivative of u_a along x^b
-    cd = jet.du - np.einsum("nsab,ns->nab", gam, u_low)
-    ud_low = jet.g * u_dot
-    asym = 0.5 * (cd - cd.transpose(0, 2, 1))
-    outer = ud_low[:, :, None] * u_low[:, None, :]
-    bivec = 0.5 * (outer - outer.transpose(0, 2, 1)) / (jet.c * jet.c)
-    # keep the 6 independent components so antisymmetry is exact
-    upper = (asym - bivec) * _UPPER
-    return upper - upper.transpose(0, 2, 1)
+    a - b is exactly -(b - a) in round-to-nearest, so w is exactly
+    antisymmetric.
+    """
+    x = jet.du - a_low[:, :, None] * (jet.u_low / (jet.c * jet.c))[:, None, :]
+    return 0.5 * (x - x.transpose(0, 2, 1))
 
 
 def _eps_contract(jet: _Jet, x: np.ndarray) -> np.ndarray:
@@ -332,10 +330,13 @@ def partial_derivatives_u(spec: FieldLike, event: Event) -> np.ndarray:
 
 @_quiet
 def acceleration(spec: FieldLike, event: Event) -> FourVector:
-    """Contravariant acceleration u_dot^a = u^b (d_b u^a + Gamma^a_bg u^g)."""
+    """Contravariant acceleration u_dot^a = u^b (d_b u^a + Gamma^a_bg u^g).
+
+    It is computed lowered, as u^b d_b u_a - d_a g_bc u^b u^c / 2, from the
+    Jacobian of the lowered field, and raised with the diagonal metric.
+    """
     jet = _at(spec, event)
-    a = _acceleration_rows(jet, _christoffel(jet.rho))
-    return FourVector(_finite(a)[0])
+    return FourVector(_finite(_acceleration_low(jet) / jet.g)[0])
 
 
 @_quiet
@@ -343,11 +344,12 @@ def vorticity_tensor(spec: FieldLike, event: Event) -> np.ndarray:
     """Covariant vorticity tensor w_ab, exactly antisymmetric.
 
     w_ab = (u_{a;b} - u_{b;a}) / 2 - (u_dot_a u_b - u_dot_b u_a) / (2 c^2);
-    the acceleration term makes w_ab u^b vanish for any normalization.
+    the acceleration term makes w_ab u^b vanish for any normalization. The
+    connection cancels in the antisymmetric part, so the comma derivatives
+    of the lowered field stand in for the covariant ones.
     """
     jet = _at(spec, event)
-    gam = _christoffel(jet.rho)
-    return _finite(_tensor_rows(jet, gam, _acceleration_rows(jet, gam)))[0]
+    return _finite(_tensor_rows(jet, _acceleration_low(jet)))[0]
 
 
 @_quiet
@@ -361,12 +363,11 @@ def vorticity_vector_direct(spec: FieldLike, event: Event) -> FourVector:
 def vorticity_vector_from_tensor(spec: FieldLike, event: Event) -> FourVector:
     """Vorticity vector obtained by contracting the vorticity tensor.
 
-    Must agree with the direct route: the connection and acceleration
-    pieces of the tensor drop out under the eps-contraction with u.
+    Must agree with the direct route: the acceleration bivector of the
+    tensor drops out under the eps-contraction with u.
     """
     jet = _at(spec, event)
-    gam = _christoffel(jet.rho)
-    w = _tensor_rows(jet, gam, _acceleration_rows(jet, gam))
+    w = _tensor_rows(jet, _acceleration_low(jet))
     return FourVector(_finite(_eps_contract(jet, w))[0])
 
 
@@ -438,14 +439,18 @@ def kinematic_sample(spec: FieldLike, event: Event) -> KinematicSample:
     One Jacobian serves every field of the sample (17 field evaluations).
     """
     jet = _at(spec, event)
-    gam = _christoffel(jet.rho)
-    u_dot = _finite(_acceleration_rows(jet, gam))
-    w_vec = _finite(_eps_contract(jet, jet.du))
+    a_low = _acceleration_low(jet)
+    u_dot = a_low[0] / jet.g[0]
+    w_ab = _tensor_rows(jet, a_low)[0]
+    w_vec = _eps_contract(jet, jet.du)
+    scalar = _norm_rows(jet, w_vec)
+    # one check of every output but u
+    _finite(np.concatenate((u_dot, w_ab.reshape(16), w_vec[0], scalar)))
     return KinematicSample(
         event=event,
         u=FourVector(jet.u[0]),
-        u_dot=FourVector(u_dot[0]),
-        vorticity_tensor=_finite(_tensor_rows(jet, gam, u_dot))[0],
+        u_dot=FourVector(u_dot),
+        vorticity_tensor=w_ab,
         vorticity_vector=FourVector(w_vec[0]),
-        vorticity_scalar=float(_finite(_norm_rows(jet, w_vec))[0]),
+        vorticity_scalar=float(scalar[0]),
     )

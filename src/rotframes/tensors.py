@@ -92,7 +92,8 @@ def _christoffel(rho) -> np.ndarray:
     """Gamma[..., a, b, g] = Gamma^a_{bg} at radius rho, a float or an array.
 
     Only Gamma^rho_{phi phi} = -rho and Gamma^phi_{rho phi} = 1/rho (and
-    its mirror) are nonzero in this chart; c drops out entirely.
+    its mirror) are nonzero in this chart; c drops out entirely. It serves
+    only transport; kinematics writes the metric term out instead.
     """
     gam = np.zeros(np.shape(rho) + (4, 4, 4))
     gam[..., RHO, PHI, PHI] = -rho

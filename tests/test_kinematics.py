@@ -349,6 +349,26 @@ def _user(spec):
     return VelocityField(lambda e: four_velocity(e, spec).components, spec.c)
 
 
+def _drifting(seed, count):
+    """User fields with u^rho != 0 that depend on every coordinate, at
+    seeded events. The built-in congruences all have u^rho = 0, which hides
+    the d_rho column of the Jacobian from the acceleration."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        c = rng.uniform(0.6, 2.0)
+        a, b, k = rng.uniform(-0.5, 0.5, 3)
+
+        def u_fn(e, a=a, b=b, k=k, c=c):
+            u_rho = a * math.sin(e.phi) + 0.1 * e.t + k * e.z
+            u_phi = b / e.rho + 0.2 * math.cos(e.phi + e.z)
+            u_z = 0.3 * math.sin(e.t) * e.rho
+            u_t = math.sqrt(1.0 + (u_rho**2 + (e.rho * u_phi) ** 2 + u_z**2) / c**2)
+            return np.array([u_t, u_rho, u_phi, u_z])
+
+        yield VelocityField(u_fn, c), Event(rng.normal(), rng.uniform(0.2, 3.0),
+                                            rng.normal(), rng.normal())
+
+
 class TestOneJacobian:
     def test_user_field_called_17_times_per_sample(self):
         calls = []
@@ -377,24 +397,26 @@ class TestOneJacobian:
                                                        rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("tol", [pytest.param(1e-9, id="extrapolated")])
-    def test_product_rule_matches_differencing_u_up(self, tol):
-        # reference: difference the contravariant field itself
+    def test_acceleration_matches_differencing_u_up(self, tol):
+        # reference: u^b d_b u^a, differencing the contravariant field
+        # itself, plus the connection terms
         from rotframes.kinematics import (
+            _acceleration_low,
             _at,
-            _contravariant_jacobian,
             _fd_matrix,
             _field_rows,
             _step,
         )
+        from rotframes.tensors import _christoffel
 
-        for spec, e in _events(31, 30):
-            jet = _at(spec, e)
-            u_rows = _field_rows(spec)
+        for field, e in [*_events(31, 30), *_drifting(37, 10)]:
+            jet = _at(field, e)
             x = e.coords()[None, :]
-            ref, _ = _fd_matrix(u_rows, x, _step(x[:, 1]))
-            ref = ref[0]
+            d_up, _ = _fd_matrix(_field_rows(field), x, _step(x[:, 1]))
+            u = jet.u[0]
+            ref = d_up[0] @ u + np.einsum("abg,b,g->a", _christoffel(e.rho), u, u)
             scale = max(1.0, float(np.max(np.abs(ref))))
-            np.testing.assert_allclose(_contravariant_jacobian(jet)[0], ref,
+            np.testing.assert_allclose((_acceleration_low(jet) / jet.g)[0], ref,
                                        rtol=0.0, atol=tol * scale)
 
     def test_batch_rows_equal_single_events_bitwise(self):
@@ -417,6 +439,90 @@ class TestOneJacobian:
         with pytest.raises(DomainError, match="chart"):
             vorticity_scalars(spec, [[0.0, 1e-5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         assert vorticity_scalars(spec, np.zeros((0, 4))).shape == (0,)
+
+
+class TestGeometry:
+    """The explicit metric terms against the Christoffel-symbol formulas."""
+
+    @staticmethod
+    def _christoffel_forms(jet):
+        """u_dot^a and w_ab by contracting the full connection at one event."""
+        from rotframes.tensors import _christoffel
+
+        gam = _christoffel(jet.rho[0])
+        u, g, u_low, du = jet.u[0], jet.g[0], jet.u_low[0], jet.du[0]
+        # d_b u^a by the product rule, with d_rho g_phi = -2 rho
+        d_up = du.copy()
+        d_up[PHI, RHO] += 2.0 * jet.rho[0] * u[PHI]
+        d_up /= g[:, None]
+        u_dot = d_up @ u + np.einsum("abg,b,g->a", gam, u, u)
+        cd = du - np.einsum("sab,s->ab", gam, u_low)
+        outer = np.outer(g * u_dot, u_low)
+        w = 0.5 * (cd - cd.T) - 0.5 * (outer - outer.T) / (jet.c * jet.c)
+        return u_dot, w
+
+    def test_matches_the_christoffel_contractions(self):
+        from rotframes.kinematics import _at
+
+        draws = [(_user(spec) if i % 3 == 2 else spec, e)
+                 for i, (spec, e) in enumerate(_events(43, 60))]
+        for field, e in [*draws, *_drifting(47, 20)]:
+            u_dot, w = self._christoffel_forms(_at(field, e))
+            for got, ref in ((acceleration(field, e).components, u_dot),
+                             (vorticity_tensor(field, e), w)):
+                np.testing.assert_allclose(got, ref, rtol=0.0,
+                                           atol=1e-12 * max(1.0, np.max(np.abs(ref))))
+            direct = vorticity_vector_direct(field, e).components
+            via_tensor = vorticity_vector_from_tensor(field, e).components
+            assert np.max(np.abs(direct - via_tensor)) < 1e-8
+
+
+class TestStencil:
+    """The rows _fd_matrix hands to the field, bit for bit."""
+
+    @staticmethod
+    def _layout(x, h):
+        # +-h, then +-h/2, along each axis in turn, then the event itself
+        offsets = h[:, None] * np.array([1.0, -1.0, 0.5, -0.5])
+        stencil = (x[:, None, None, :] + np.eye(4)[None, :, None, :]
+                   * offsets[:, None, :, None]).reshape(len(x), 16, 4)
+        return np.concatenate([stencil, x[:, None, :]], axis=1).reshape(-1, 4)
+
+    def test_rows_match_the_documented_layout(self):
+        from rotframes.kinematics import _fd_matrix, _step
+
+        x = np.array([[-0.0, 1.3, -0.0, -0.0],
+                      [0.0, 0.7, 0.0, 0.0],
+                      [-2.5, 4.0, -0.0, 3.25],
+                      [1e-300, 1.0 + 2.0**-52, -1e-300, -0.0]])
+        seen = []
+
+        def spy(y):
+            seen.append(y.copy())
+            return np.cos(y)
+
+        d, f = _fd_matrix(spy, x, _step(x[:, 1]))
+        (rows,) = seen
+        expected = self._layout(x, _step(x[:, 1]))
+        assert rows.tobytes() == expected.tobytes()
+        assert rows.reshape(len(x), 17, 4)[:, 16].tobytes() == x.tobytes()
+        assert f.tobytes() == np.cos(x).tobytes()
+        assert d.shape == (len(x), 4, 4)
+
+    def test_user_field_sees_the_layout(self):
+        from rotframes.kinematics import _step
+
+        spec = CongruenceSpec("tt", 0.7)
+        seen = []
+
+        def u_fn(e):
+            seen.append((e.t, e.rho, e.phi, e.z))
+            return four_velocity(e, spec).components
+
+        e = Event(-0.0, 1.1, -0.0, -0.0)
+        kinematic_sample(VelocityField(u_fn), e)
+        x = e.coords()[None, :]
+        assert np.array(seen).tobytes() == self._layout(x, _step(x[:, 1])).tobytes()
 
 
 class TestScalarRows:
