@@ -2,10 +2,11 @@
 
 The package defines three families of rotating observers (rigid ``gal``,
 Trocheris-Takeno ``tt`` and its modified variant ``mtt``), computes their
-kinematic invariants (acceleration, vorticity tensor and vector, scalar
-rotation rate) and verifies gyroscope precession per revolution with a
-Fermi-Walker transport integrator. Numerically it demonstrates that
-different congruence definitions give different precession values.
+kinematics at an event (``kinematic_sample``: acceleration, vorticity
+tensor and vector, scalar rotation rate) or the scalar at many events
+(``vorticity_scalars``), and verifies gyroscope precession per revolution
+with a Fermi-Walker transport integrator. Numerically it demonstrates
+that different congruence definitions give different precession values.
 """
 
 from .congruences import (
@@ -35,14 +36,9 @@ from .errors import (
 from .kinematics import (
     KinematicSample,
     VelocityField,
-    acceleration,
     kinematic_sample,
-    partial_derivatives_u,
     vorticity_scalar,
     vorticity_scalars,
-    vorticity_tensor,
-    vorticity_vector_direct,
-    vorticity_vector_from_tensor,
 )
 from .tensors import LEVI_CIVITA, Event, FourVector
 from .transport import (
@@ -80,7 +76,6 @@ __all__ = [
     "TT",
     "VelocityField",
     "Worldline",
-    "acceleration",
     "compare_congruences",
     "corotating_dyad",
     "fixed_point_speed",
@@ -92,7 +87,6 @@ __all__ = [
     "kinematic_sample",
     "measure_precession_angle",
     "omega_closed_form",
-    "partial_derivatives_u",
     "precession_per_revolution",
     "proper_period",
     "proper_time_rate",
@@ -102,8 +96,5 @@ __all__ = [
     "tt_map",
     "vorticity_scalar",
     "vorticity_scalars",
-    "vorticity_tensor",
-    "vorticity_vector_direct",
-    "vorticity_vector_from_tensor",
     "worldline",
 ]

@@ -13,28 +13,27 @@ c, grouped by field: the metric is evaluated once on all rows, and each
 field once, on its own slice (_jet). The step follows from rho (_step).
 
 Each event gets one Jacobian, that of the lowered field,
-du[a, b] = d_b u_a, and the acceleration, the vorticity tensor and both
-vorticity routes are computed from it (17 field evaluations per event:
-16 stencil points and the event itself). The metric is diagonal and
-depends only on rho, so the one metric derivative, d_rho g_phi = -2 rho,
-enters the lowered acceleration
+du[a, b] = d_b u_a, and the acceleration, the vorticity tensor and the
+vorticity vector are computed from it (17 field evaluations per event:
+16 stencil points and the event itself); kinematic_sample returns them
+all. The metric is diagonal and depends only on rho, so the one metric
+derivative, d_rho g_phi = -2 rho, enters the lowered acceleration
 
     u_dot_a = u^b d_b u_a - d_a g_bc u^b u^c / 2
 
-and nothing else. The connection never enters the tensor route: it is
-symmetric in its lower indices, so it cancels exactly in the
+and nothing else. The connection never enters the vorticity tensor: it
+is symmetric in its lower indices, so it cancels exactly in the
 antisymmetrized covariant derivative, and w_ab is built from comma
-derivatives alone. The two routes to the vorticity vector are
+derivatives alone. The vorticity vector contracts the permutation symbol
+with u and the comma derivatives of the lowered field,
 
-* direct: contract the permutation symbol with u and the comma
-  derivatives of the lowered field,
-      w^a = eps^{abgd} u_b d_g u_d / (2 c sqrt(-det g)),
-* via the tensor: build w_ab from the antisymmetrized comma derivatives
-  minus the acceleration bivector and contract the same way.
+    w^a = eps^{abgd} u_b d_g u_d / (2 c sqrt(-det g)).
 
-The acceleration bivector cancels under the eps-contraction with u_b, so
-the routes agree to rounding; the test suite leans on that as a
-cross-check. It checks that cancellation, not two independent
+Contracting w_ab the same way, _eps_contract(jet, _tensor_rows(jet,
+_acceleration_low(jet))), gives the same vector: the acceleration
+bivector cancels under the eps-contraction with u_b, so the two routes
+agree to rounding, and the test suite cross-checks them over these
+private helpers. That checks the cancellation, not two independent
 derivatives: both routes read the same Jacobian. The
 prefactor uses the tangent normalized to unit norm (u / c), which keeps
 the vorticity scalar an angular rate per unit proper time for any value
@@ -42,8 +41,9 @@ of c.
 
 This module owns the rule for which events can be differenced: the
 stencil must stay off the axis and, for gal, inside the light cylinder
-(_stencil_fits). The public functions raise DomainError for an event
-that fails it or for a result that is not finite. _scalar_rows, the
+(_stencil_fits). kinematic_sample, vorticity_scalar and
+vorticity_scalars raise DomainError for an event that fails it or for a
+result that is not finite. _scalar_rows, the
 batch routine behind vorticity_scalars and the CLI tables (one call per
 command), gives nan for such a row instead and differences the other
 rows, of every field it is given, in passes of at most _PASS events.
@@ -122,7 +122,13 @@ FieldLike = Union[CongruenceSpec, VelocityField]
 
 @dataclass(frozen=True, eq=False)
 class KinematicSample:
-    """Velocity, acceleration and vorticity data at one event."""
+    """Velocity, acceleration and vorticity data at one event.
+
+    kinematic_sample gives one wherever the stencil fits and every value
+    in it is finite. For tt and mtt at c = 1 that ends at rapidity about
+    237, where w_ab ~ e^{3 lambda} / 8 overflows (lower for larger c);
+    vorticity_scalar holds there up to about 353.
+    """
 
     event: Event
     u: FourVector
@@ -316,59 +322,6 @@ def _quiet(fn):
             return fn(*args, **kwargs)
 
     return quiet
-
-
-@_quiet
-def partial_derivatives_u(spec: FieldLike, event: Event) -> np.ndarray:
-    """Comma derivatives of the lowered field: du[a, b] = d_b u_a.
-
-    Rows index the component, columns the differentiation coordinate in
-    the (t, rho, phi, z) order.
-    """
-    return _finite(_at(spec, event).du)[0]
-
-
-@_quiet
-def acceleration(spec: FieldLike, event: Event) -> FourVector:
-    """Contravariant acceleration u_dot^a = u^b (d_b u^a + Gamma^a_bg u^g).
-
-    It is computed lowered, as u^b d_b u_a - d_a g_bc u^b u^c / 2, from the
-    Jacobian of the lowered field, and raised with the diagonal metric.
-    """
-    jet = _at(spec, event)
-    return FourVector(_finite(_acceleration_low(jet) / jet.g)[0])
-
-
-@_quiet
-def vorticity_tensor(spec: FieldLike, event: Event) -> np.ndarray:
-    """Covariant vorticity tensor w_ab, exactly antisymmetric.
-
-    w_ab = (u_{a;b} - u_{b;a}) / 2 - (u_dot_a u_b - u_dot_b u_a) / (2 c^2);
-    the acceleration term makes w_ab u^b vanish for any normalization. The
-    connection cancels in the antisymmetric part, so the comma derivatives
-    of the lowered field stand in for the covariant ones.
-    """
-    jet = _at(spec, event)
-    return _finite(_tensor_rows(jet, _acceleration_low(jet)))[0]
-
-
-@_quiet
-def vorticity_vector_direct(spec: FieldLike, event: Event) -> FourVector:
-    """Vorticity vector from the permutation symbol and comma derivatives."""
-    jet = _at(spec, event)
-    return FourVector(_finite(_eps_contract(jet, jet.du))[0])
-
-
-@_quiet
-def vorticity_vector_from_tensor(spec: FieldLike, event: Event) -> FourVector:
-    """Vorticity vector obtained by contracting the vorticity tensor.
-
-    Must agree with the direct route: the acceleration bivector of the
-    tensor drops out under the eps-contraction with u.
-    """
-    jet = _at(spec, event)
-    w = _tensor_rows(jet, _acceleration_low(jet))
-    return FourVector(_finite(_eps_contract(jet, w))[0])
 
 
 @_quiet

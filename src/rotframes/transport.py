@@ -43,7 +43,6 @@ from .congruences import (
     TT,
     CongruenceSpec,
     _fixed_point,
-    _FixedPoint,
     _in_range,
     _period,
     _u_components,
@@ -178,8 +177,10 @@ def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
     steps must be an integer from 16 to 2**53 (ValueError otherwise).
     Raises ConstraintDriftError when the scaled |S.u| or the relative
     S.S drift exceeds DRIFT_LIMIT at any step, or is nan because the
-    steps overflowed, which signals too few steps for the requested span;
-    DomainError when the generator leaves the float range.
+    steps overflowed. That signals too few steps for the requested span,
+    unless the generator's rounding eps (u^t)^2 alone exceeds DRIFT_LIMIT
+    (u^t above about 67000), where no step count helps and the message
+    says so. Raises DomainError when the generator leaves the float range.
     """
     if isinstance(steps, bool) or not isinstance(steps, numbers.Integral):
         raise ValueError(f"steps must be an integer, got {steps!r}")
@@ -214,21 +215,21 @@ def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
     if math.isnan(raw_ortho + raw_norm):
         drift = math.nan  # samples past the float range: the RK4 steps grew
     if not drift <= DRIFT_LIMIT:
+        u_t = float(wl.u[T])
+        rounding = sys.float_info.epsilon * u_t * u_t
+        cause = (f"the generator at u^t = {u_t:.6g} carries rounding eps (u^t)^2 = "
+                 f"{rounding:.3g}, which no step count removes"
+                 if rounding > DRIFT_LIMIT else "too few steps")
         raise ConstraintDriftError(
-            f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: too few steps"
-        )
+            f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: {cause}")
     return FwTrajectory(taus=record_idx.astype(float) * h, spins=spins, max_drift=drift,
                         generator=m, step_angle=theta)
 
 
-def _proper_period(rho: float, spec: CongruenceSpec, fp: _FixedPoint) -> float:
-    """proper_period from the fixed point fp at radius rho."""
-    return _period(rho, spec, fp, fp.dtau_dt)
-
-
 def proper_period(spec: CongruenceSpec, rho: float) -> float:
     """Proper time elapsed on the fixed point during one lab revolution."""
-    return _proper_period(rho, spec, _fixed_point(rho, spec))
+    fp = _fixed_point(rho, spec)
+    return _period(rho, spec, fp, fp.dtau_dt)
 
 
 def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> float:
@@ -272,7 +273,7 @@ def precession_per_revolution(spec: CongruenceSpec, rho: float) -> PrecessionRep
     """
     fp = _fixed_point(rho, spec)
     vorticity = _in_range(fp.vorticity, rho, spec)
-    delta_tau = _proper_period(rho, spec, fp)
+    delta_tau = _period(rho, spec, fp, fp.dtau_dt)
     delta_phi = -vorticity * delta_tau
     return PrecessionReport(spec.kind, rho, spec.omega, spec.c, vorticity, fp.speed,
                             fp.dtau_dt, delta_tau, delta_phi, delta_phi + 2.0 * math.pi)

@@ -10,21 +10,25 @@ from rotframes import (
     Event,
     LightCylinderError,
     VelocityField,
-    acceleration,
     four_velocity,
     kinematic_sample,
     omega_closed_form,
-    partial_derivatives_u,
     proper_time_rate,
     vorticity_scalar,
     vorticity_scalars,
-    vorticity_tensor,
-    vorticity_vector_direct,
-    vorticity_vector_from_tensor,
 )
+from rotframes.kinematics import _acceleration_low, _at, _eps_contract, _tensor_rows
 from rotframes.tensors import metric_diag
 
 T, RHO, PHI, Z = 0, 1, 2, 3
+
+
+def vorticity_routes(field, e):
+    """The vorticity vector two ways from one Jacobian: contracting the comma
+    derivatives directly, and contracting the vorticity tensor."""
+    jet = _at(field, e)
+    via_tensor = _eps_contract(jet, _tensor_rows(jet, _acceleration_low(jet)))
+    return _eps_contract(jet, jet.du)[0], via_tensor[0]
 
 
 def gal_lowered_partials(rho, omega, c):
@@ -48,12 +52,12 @@ def tt_lowered_partials(rho, omega, c):
 class TestPartialDerivatives:
     def test_static_congruence_has_zero_gradient(self):
         spec = CongruenceSpec("tt", 0.0)
-        du = partial_derivatives_u(spec, Event(0.0, 1.3, 0.2))
+        du = _at(spec, Event(0.0, 1.3, 0.2)).du[0]
         assert np.max(np.abs(du)) < 1e-12
 
     def test_symmetry_kills_t_phi_z_columns(self):
         spec = CongruenceSpec("gal", 0.5)
-        du = partial_derivatives_u(spec, Event(0.7, 1.0, -0.3, 2.0))
+        du = _at(spec, Event(0.7, 1.0, -0.3, 2.0)).du[0]
         for axis in (T, PHI, Z):
             assert np.max(np.abs(du[:, axis])) < 1e-11
 
@@ -61,7 +65,7 @@ class TestPartialDerivatives:
     def test_gal_against_analytic_oracle(self, tol):
         rho, omega, c = 1.0, 0.5, 1.0
         spec = CongruenceSpec("gal", omega, c)
-        du = partial_derivatives_u(spec, Event(0.0, rho, 0.0))
+        du = _at(spec, Event(0.0, rho, 0.0)).du[0]
         du_t, du_phi = gal_lowered_partials(rho, omega, c)
         assert du[T, RHO] == pytest.approx(du_t, abs=tol)
         assert du[PHI, RHO] == pytest.approx(du_phi, abs=tol)
@@ -70,7 +74,7 @@ class TestPartialDerivatives:
     def test_tt_against_analytic_oracle(self, tol):
         rho, omega, c = 1.4, 0.8, 1.2
         spec = CongruenceSpec("tt", omega, c)
-        du = partial_derivatives_u(spec, Event(0.0, rho, 0.0))
+        du = _at(spec, Event(0.0, rho, 0.0)).du[0]
         du_t, du_phi = tt_lowered_partials(rho, omega, c)
         assert du[T, RHO] == pytest.approx(du_t, abs=tol)
         assert du[PHI, RHO] == pytest.approx(du_phi, abs=tol)
@@ -79,36 +83,37 @@ class TestPartialDerivatives:
         # the step is 1e-4 at both radii
         spec = CongruenceSpec("gal", 1.0)
         with pytest.raises(DomainError, match="light cylinder"):
-            partial_derivatives_u(spec, Event(0.0, 0.9999999, 0.0))
+            _at(spec, Event(0.0, 0.9999999, 0.0))
         with pytest.raises(DomainError, match="chart"):
-            partial_derivatives_u(CongruenceSpec("tt", 1.0), Event(0.0, 1e-7, 0.0))
+            _at(CongruenceSpec("tt", 1.0), Event(0.0, 1e-7, 0.0))
 
 
 class TestAcceleration:
     def test_gal_centripetal_value(self):
         # closed form: only u_dot^rho = -gamma^2 omega^2 rho = -1/3 here
         spec = CongruenceSpec("gal", 0.5)
-        a = acceleration(spec, Event(0.0, 1.0, 0.0)).components
+        a = kinematic_sample(spec, Event(0.0, 1.0, 0.0)).u_dot.components
         assert a[RHO] == pytest.approx(-1.0 / 3.0, abs=1e-9)
         for idx in (T, PHI, Z):
             assert abs(a[idx]) < 1e-9
 
     def test_static_observer_is_geodesic(self):
         spec = CongruenceSpec("mtt", 0.0)
-        a = acceleration(spec, Event(0.0, 2.0, 0.0)).components
+        a = kinematic_sample(spec, Event(0.0, 2.0, 0.0)).u_dot.components
         assert np.max(np.abs(a)) < 1e-12
 
     def test_orthogonal_to_velocity(self):
         spec = CongruenceSpec("tt", 1.0)
         e = Event(0.0, 1.0, 0.0)
-        a = acceleration(spec, e).components
+        a = kinematic_sample(spec, e).u_dot.components
         u = four_velocity(e, spec).components
         assert abs(a @ (metric_diag(e.rho, spec.c) * u)) < 1e-9
 
 
 class TestVorticityTensor:
     def test_static_congruence_zero(self):
-        w = vorticity_tensor(CongruenceSpec("gal", 0.0), Event(0.0, 1.0, 0.0))
+        s = kinematic_sample(CongruenceSpec("gal", 0.0), Event(0.0, 1.0, 0.0))
+        w = s.vorticity_tensor
         assert np.max(np.abs(w)) < 1e-12
 
     def test_antisymmetry_exact(self):
@@ -117,7 +122,8 @@ class TestVorticityTensor:
             kind = ("gal", "tt", "mtt")[rng.integers(3)]
             rho = rng.uniform(0.3, 2.0)
             omega = rng.uniform(0.05, 0.45)
-            w = vorticity_tensor(CongruenceSpec(kind, omega), Event(0.0, rho, 0.0))
+            w = kinematic_sample(CongruenceSpec(kind, omega),
+                                 Event(0.0, rho, 0.0)).vorticity_tensor
             assert np.array_equal(w, -w.T)
             assert np.all(np.diag(w) == 0.0)
 
@@ -125,7 +131,7 @@ class TestVorticityTensor:
         # Stationarity and axisymmetry confine the tensor to the (t, rho)
         # and (rho, phi) slots; the z row/column and (t, phi) vanish.
         spec = CongruenceSpec("gal", 0.5)
-        w = vorticity_tensor(spec, Event(0.0, 1.0, 0.0))
+        w = kinematic_sample(spec, Event(0.0, 1.0, 0.0)).vorticity_tensor
         assert np.max(np.abs(w[Z, :])) < 1e-11
         assert np.max(np.abs(w[:, Z])) < 1e-11
         assert abs(w[T, PHI]) < 1e-11
@@ -140,21 +146,20 @@ class TestVorticityTensor:
         for kind, omega in (("gal", 0.5), ("tt", 1.0)):
             spec = CongruenceSpec(kind, omega)
             e = Event(0.0, 1.0, 0.0)
-            w = vorticity_tensor(spec, e)
+            w = kinematic_sample(spec, e).vorticity_tensor
             u = four_velocity(e, spec).components
             assert np.max(np.abs(w @ u)) < 1e-9
 
 
 class TestVorticityVector:
     def test_static_congruence_zero(self):
-        for fn in (vorticity_vector_direct, vorticity_vector_from_tensor):
-            w = fn(CongruenceSpec("tt", 0.0), Event(0.0, 1.0, 0.0)).components
+        for w in vorticity_routes(CongruenceSpec("tt", 0.0), Event(0.0, 1.0, 0.0)):
             assert np.max(np.abs(w)) < 1e-12
 
     def test_gal_axis_aligned_with_known_magnitude(self):
         spec = CongruenceSpec("gal", 0.5)
         e = Event(0.0, 1.0, 0.0)
-        w = vorticity_vector_direct(spec, e).components
+        w = kinematic_sample(spec, e).vorticity_vector.components
         for idx in (T, RHO, PHI):
             assert abs(w[idx]) < 1e-10
         # sqrt(-w.w) = omega / (1 - omega^2 rho^2 / c^2) = 2/3
@@ -163,7 +168,7 @@ class TestVorticityVector:
     def test_tt_magnitude_at_unit_rapidity(self):
         spec = CongruenceSpec("tt", 1.0)
         e = Event(0.0, 1.0, 0.0)
-        w = vorticity_vector_direct(spec, e).components
+        w = kinematic_sample(spec, e).vorticity_vector.components
         mag = math.sqrt(-(w @ (metric_diag(e.rho, spec.c) * w)))
         expected = 0.5 * (math.sinh(1.0) * math.cosh(1.0) + 1.0)
         assert mag == pytest.approx(expected, rel=1e-10)
@@ -178,8 +183,7 @@ class TestVorticityVector:
             omega = rng.uniform(0.05, 0.9) * (c / rho if kind == "gal" else 1.0)
             spec = CongruenceSpec(kind, omega, c)
             e = Event(rng.normal(), rho, rng.normal())
-            direct = vorticity_vector_direct(spec, e).components
-            via_tensor = vorticity_vector_from_tensor(spec, e).components
+            direct, via_tensor = vorticity_routes(spec, e)
             assert np.max(np.abs(direct - via_tensor)) < 1e-8
 
     @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
@@ -196,8 +200,7 @@ class TestVorticityVector:
                 rhos = np.linspace(0.1, 3.0, 20)
             for rho in rhos:
                 e = Event(0.0, float(rho), 0.0)
-                direct = vorticity_vector_direct(spec, e).components
-                via = vorticity_vector_from_tensor(spec, e).components
+                direct, via = vorticity_routes(spec, e)
                 worst_route = max(worst_route, float(np.max(np.abs(direct - via))))
                 num = vorticity_scalar(spec, e)
                 closed = omega_closed_form(float(rho), spec)
@@ -208,15 +211,14 @@ class TestVorticityVector:
     def test_routes_agree_near_light_cylinder(self):
         spec = CongruenceSpec("gal", 0.5)
         e = Event(0.0, 1.9, 0.0)  # rho omega / c = 0.95
-        direct = vorticity_vector_direct(spec, e).components
-        via_tensor = vorticity_vector_from_tensor(spec, e).components
+        direct, via_tensor = vorticity_routes(spec, e)
         assert np.max(np.abs(direct - via_tensor)) < 1e-6
 
     def test_orthogonal_to_velocity(self):
         for kind, omega in (("gal", 0.4), ("tt", 1.2), ("mtt", 0.8)):
             spec = CongruenceSpec(kind, omega)
             e = Event(0.0, 1.1, 0.3)
-            w = vorticity_vector_direct(spec, e).components
+            w = kinematic_sample(spec, e).vorticity_vector.components
             u = four_velocity(e, spec).components
             g = metric_diag(e.rho, spec.c)
             wn = math.sqrt(abs(w @ (g * w)))
@@ -307,8 +309,8 @@ class TestUserSuppliedField:
         builtin = CongruenceSpec("gal", omega, c)
         e = Event(0.0, 1.2, 0.4)
         np.testing.assert_allclose(
-            vorticity_vector_direct(field, e).components,
-            vorticity_vector_direct(builtin, e).components,
+            kinematic_sample(field, e).vorticity_vector.components,
+            kinematic_sample(builtin, e).vorticity_vector.components,
             rtol=0.0,
             atol=1e-12,
         )
@@ -385,14 +387,6 @@ class TestOneJacobian:
         for i, (spec, e) in enumerate(_events(29, 40)):
             field = _user(spec) if i % 2 else spec
             s = kinematic_sample(field, e)
-            for got, ref in (
-                (s.u_dot.components, acceleration(field, e).components),
-                (s.vorticity_tensor, vorticity_tensor(field, e)),
-                (s.vorticity_vector.components,
-                 vorticity_vector_direct(field, e).components),
-            ):
-                np.testing.assert_allclose(got, ref, rtol=0.0,
-                                           atol=1e-12 * max(1.0, np.max(np.abs(ref))))
             assert s.vorticity_scalar == pytest.approx(vorticity_scalar(field, e),
                                                        rel=1e-12, abs=0.0)
 
@@ -400,13 +394,7 @@ class TestOneJacobian:
     def test_acceleration_matches_differencing_u_up(self, tol):
         # reference: u^b d_b u^a, differencing the contravariant field
         # itself, plus the connection terms
-        from rotframes.kinematics import (
-            _acceleration_low,
-            _at,
-            _fd_matrix,
-            _field_rows,
-            _step,
-        )
+        from rotframes.kinematics import _fd_matrix, _field_rows, _step
         from rotframes.tensors import _christoffel
 
         for field, e in [*_events(31, 30), *_drifting(37, 10)]:
@@ -462,18 +450,15 @@ class TestGeometry:
         return u_dot, w
 
     def test_matches_the_christoffel_contractions(self):
-        from rotframes.kinematics import _at
-
         draws = [(_user(spec) if i % 3 == 2 else spec, e)
                  for i, (spec, e) in enumerate(_events(43, 60))]
         for field, e in [*draws, *_drifting(47, 20)]:
             u_dot, w = self._christoffel_forms(_at(field, e))
-            for got, ref in ((acceleration(field, e).components, u_dot),
-                             (vorticity_tensor(field, e), w)):
+            s = kinematic_sample(field, e)
+            for got, ref in ((s.u_dot.components, u_dot), (s.vorticity_tensor, w)):
                 np.testing.assert_allclose(got, ref, rtol=0.0,
                                            atol=1e-12 * max(1.0, np.max(np.abs(ref))))
-            direct = vorticity_vector_direct(field, e).components
-            via_tensor = vorticity_vector_from_tensor(field, e).components
+            direct, via_tensor = vorticity_routes(field, e)
             assert np.max(np.abs(direct - via_tensor)) < 1e-8
 
 
@@ -678,11 +663,20 @@ class TestOverflow:
                 assert proper_time_rate(lam, spec) > 0.0
 
     def test_scalar_holds_until_the_closed_form_overflows(self):
-        # w.w would overflow from rapidity ~177; the norm is scaled exactly
+        # w.w would overflow from rapidity ~177; the norm is scaled exactly.
+        # kinematic_sample stops at ~237, where w_ab ~ e^(3 lam) / 8 overflows.
         spec = CongruenceSpec("tt", 1.0)
         for lam in (150.0, 250.0, 350.0):
-            num = vorticity_scalar(spec, Event(0.0, lam, 0.0))
+            e = Event(0.0, lam, 0.0)
+            num = vorticity_scalar(spec, e)
             assert num == pytest.approx(omega_closed_form(lam, spec), rel=1e-7)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if lam < 237.0:
+                    assert kinematic_sample(spec, e).vorticity_scalar == num
+                else:
+                    with pytest.raises(DomainError, match="overflow"):
+                        kinematic_sample(spec, e)
 
     @pytest.mark.parametrize("kind", ["gal", "tt"])
     @pytest.mark.parametrize("omega", [1e-300, 1e-200, 1e-160])

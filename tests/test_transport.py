@@ -12,11 +12,11 @@ from rotframes import (
     DomainError,
     Event,
     LightCylinderError,
-    acceleration,
     compare_congruences,
     corotating_dyad,
     fw_step,
     fw_transport,
+    kinematic_sample,
     measure_precession_angle,
     precession_per_revolution,
     proper_period,
@@ -54,7 +54,7 @@ class TestWorldline:
         for kind, omega in (("gal", 0.5), ("tt", 1.0)):
             spec = CongruenceSpec(kind, omega)
             wl = worldline(spec, 1.3)
-            numeric = acceleration(spec, Event(0.0, 1.3, 0.0)).components
+            numeric = kinematic_sample(spec, Event(0.0, 1.3, 0.0)).u_dot.components
             np.testing.assert_allclose(wl.a, numeric, atol=1e-9)
 
     def test_light_cylinder_guard(self):
@@ -293,6 +293,16 @@ class TestTransport:
         e_r, _ = corotating_dyad(wl)
         with pytest.raises(ConstraintDriftError, match="nan"):
             fw_transport(wl, e_r, proper_period(spec, 1.0), steps=1649)
+
+    def test_drift_from_generator_rounding_is_named(self):
+        # at tt rapidity 12 Omega^2 carries eps (u^t)^2 = 1.5e-6 of rounding,
+        # so an in-plane spin drifts past the limit at any step count
+        spec = CongruenceSpec("tt", 1.0)
+        wl = worldline(spec, 12.0)
+        e_r, _ = corotating_dyad(wl)
+        with pytest.raises(ConstraintDriftError, match="rounding") as info:
+            fw_transport(wl, e_r, proper_period(spec, 12.0), steps=2**40, n_samples=2)
+        assert "too few steps" not in str(info.value)
 
     def test_step_count_must_be_an_exact_integer(self):
         wl = worldline(CongruenceSpec("gal", 0.5), 1.0)
