@@ -220,7 +220,6 @@ def compute_row(kind: str, rho: float, omega: float, c: float,
 # rows per %-template: one encoder pass per block keeps the token list and
 # the %-tuple small however long the table is
 _BLOCK = 512
-_NULL = dict.fromkeys(("NaN", "Infinity", "-Infinity"), "null")  # json's non-finite tokens
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its overhead
 
 
@@ -277,7 +276,10 @@ def _render_json(params: dict, field_names: list[str], sections: list) -> str:
     indent makes json.dumps use its pure-Python encoder, so the rows
     instead fill a key-sorted %-template one block at a time. A block's
     values go through one pass of json's C encoder, one token per line
-    (ensure_ascii escapes any newline inside a string).
+    (ensure_ascii escapes any newline inside a string). Its non-finite
+    tokens -Infinity, Infinity and NaN become null on the block's text:
+    no string cell can hold them, as the cells are floats, the kinds and
+    the statuses (see _section_texts).
     """
     head = json.dumps({"params": params}, indent=2, sort_keys=True)[:-2]
     order = sorted(range(len(field_names)), key=field_names.__getitem__)
@@ -292,8 +294,9 @@ def _render_json(params: dict, field_names: list[str], sections: list) -> str:
         parts = []
         for block, template in _blocks(rows, row_template, ",\n"):
             values = list(chain.from_iterable(map(cells, block)))
-            tokens = json.dumps(values, separators=("\n", ":"))[1:-1].split("\n")
-            parts.append(template % tuple(map(_NULL.get, tokens, tokens)))
+            text = json.dumps(values, separators=("\n", ":"))[1:-1]
+            text = text.replace("-Infinity", "null").replace("Infinity", "null")
+            parts.append(template % tuple(text.replace("NaN", "null").split("\n")))
         return ",\n".join(parts)
 
     version = _json_str(__version__)

@@ -675,6 +675,17 @@ class TestOverflow:
         assert code == 3 and out == ""
         assert err.count("\n") == 1 and "Traceback" not in err
 
+    def test_lambda_where_rho_omega_overflows(self, capsys):
+        # rho * omega overflows where lambda = 5.63 does not: the lambda
+        # cell read inf; the rows stay marked, as the stencil's c^2 overflows
+        argv = ["compare", "--rho", "1.5252990216509972e+77",
+                "--omega", "3.364998115658751e+231", "--c", "9.11131909243001e+307"]
+        code, out, err = run(capsys, argv)
+        assert code == 0 and err == ""
+        _, rows = parse_csv(out)
+        assert [r["lambda"] for r in rows] == ["5.6332439700592891"] * 3
+        assert [r["status"] for r in rows] == ["light_cylinder"] + ["domain_error"] * 2
+
     @pytest.mark.parametrize("omega", ["3e-308", "1e-310", "5e-324"])
     def test_overflowing_period_marks_rows(self, capsys, omega):
         # the period 2 pi / omega leaves the float range: the rows held

@@ -254,6 +254,121 @@ class TestFourVelocity:
             four_velocity(Event(0.0, 1.5, 0.0), spec)
 
 
+def _stencil(rhos, seed=0):
+    """The rows of a difference pass over events at the radii rhos, laid out
+    as kinematics._fd_matrix lays them out: 17 rows per event."""
+    from rotframes.kinematics import _OFFSETS, _STENCIL_ROWS, _step
+
+    rng = np.random.default_rng(seed)
+    rhos = np.asarray(rhos, dtype=float)
+    x = np.column_stack([rng.normal(size=len(rhos)), rhos,
+                         rng.normal(size=len(rhos)), rng.normal(size=len(rhos))])
+    h = _step(rhos)
+    y = x[:, None, :] + h[:, None, None] * _OFFSETS
+    y[:, _STENCIL_ROWS - 1] = x
+    return y.reshape(-1, 4)
+
+
+def _assert_rows_match_single_events(coords, spec):
+    """_u_rows equals _u_components bitwise on every row where that returns,
+    and is non-finite where it raises the overflow DomainError."""
+    from rotframes.congruences import _u_components, _u_rows
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        rows = _u_rows(coords, spec)
+    overflowed = []
+    for i, c in enumerate(coords.tolist()):
+        try:
+            single = _u_components(Event(*c), spec)
+        except DomainError:
+            overflowed.append(i)
+            assert not np.isfinite(rows[i]).all()
+            continue
+        assert np.array_equal(rows[i], single), (i, c, rows[i], single)
+    return rows, overflowed
+
+
+class TestRunsOfEqualRadii:
+    """tt and mtt evaluate cosh and sinh once per run of equal radii."""
+
+    @pytest.mark.parametrize("events", [1, 4, 5, 9])
+    @pytest.mark.parametrize("kind,omega,c", [
+        ("tt", 0.7, 0.9), ("mtt", 3.0, 1.3), ("tt", 0.0, 1.0),
+        # rho * omega is subnormal: lambda takes the mantissa route
+        ("tt", 1e-310, 0.9),
+    ])
+    def test_stencil_rows_equal_single_events_bitwise(self, events, kind, omega, c):
+        rhos = np.random.default_rng(events).uniform(0.01, 40.0, events)
+        _, overflowed = _assert_rows_match_single_events(
+            _stencil(rhos), CongruenceSpec(kind, omega, c))
+        assert overflowed == []
+
+    def test_radii_that_recur_apart(self):
+        from rotframes.congruences import _RUNS_FROM
+
+        # a radius recurs in several runs that are not next to each other
+        rhos = np.tile([1.0, 2.5, 1.0, 1.0, 0.3, 2.5, 1.0], _RUNS_FROM)
+        coords = np.column_stack([np.arange(len(rhos)) * 0.1, rhos,
+                                  np.zeros(len(rhos)), np.ones(len(rhos))])
+        for kind, omega in (("tt", 0.8), ("mtt", 1.7)):
+            _assert_rows_match_single_events(coords, CongruenceSpec(kind, omega))
+
+    def test_overflow_fallback_sets_only_those_rows(self):
+        # at omega = c = 1, cosh(lambda) overflows above lambda = 710.4759:
+        # every row of the stencil at 720 does, and the rows of the stencil
+        # at 710.46 with rho + h or rho + h / 2 do
+        rows, overflowed = _assert_rows_match_single_events(
+            _stencil([1.0, 720.0, 2.0, 710.46, 0.5, 3.0]), CongruenceSpec("tt", 1.0))
+        assert overflowed == [*range(17, 34), 55, 57]
+        assert np.isinf(rows[overflowed][:, [0, 2]]).all()
+        assert np.isfinite(np.delete(rows, overflowed, axis=0)).all()
+
+    def test_rho_omega_past_the_float_range(self):
+        # rho * omega overflows, but lambda = 5.63 and u fit: the rows of
+        # that stencil take _rapidity's mantissa route, the others keep theirs
+        rho, omega, c = 1.5252990216509972e+77, 3.364998115658751e+231, 9.11131909243001e+307
+        spec = CongruenceSpec("tt", omega, c)
+        rows, overflowed = _assert_rows_match_single_events(
+            _stencil([1.0, rho, 2.0, 3.0, 4.0]), spec)
+        assert overflowed == []
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+            cosh = (lam.exp() + (-lam).exp()) / 2
+        assert rows[33, 0] == pytest.approx(float(cosh), rel=4e-15, abs=0.0)
+
+    def test_calls_per_event(self, monkeypatch):
+        from rotframes import congruences
+        from rotframes.congruences import _RUNS_FROM, _u_rows
+
+        calls = {"cosh": 0, "sinh": 0}
+
+        def counted(name):
+            fn = getattr(math, name)
+
+            def call(lam):
+                calls[name] += 1
+                return fn(lam)
+
+            return call
+
+        monkeypatch.setattr(math, "cosh", counted("cosh"))
+        monkeypatch.setattr(math, "sinh", counted("sinh"))
+        spec = CongruenceSpec("tt", 0.6)
+        events = -(-_RUNS_FROM // 17)  # the fewest events that take the runs
+        _u_rows(_stencil(np.linspace(0.5, 2.0, events)), spec)
+        assert calls == {"cosh": 6 * events, "sinh": 6 * events}
+        # below _RUNS_FROM every row is evaluated; with the runs taken from
+        # the first row on, a one-event stencil makes 6 calls of each
+        calls.update(cosh=0, sinh=0)
+        _u_rows(_stencil([1.3]), spec)
+        assert calls == {"cosh": 17, "sinh": 17}
+        monkeypatch.setattr(congruences, "_RUNS_FROM", 1)
+        calls.update(cosh=0, sinh=0)
+        _u_rows(_stencil([1.3]), spec)
+        assert calls == {"cosh": 6, "sinh": 6}
+
+
 class TestSpeedAndTiming:
     def test_tt_speed_at_unit_rapidity(self):
         spec = CongruenceSpec("tt", 1.0)
@@ -366,6 +481,31 @@ class TestSpeedAndTiming:
         assert rapidity(rho, spec) == pytest.approx(float(lam), rel=2.3e-16, abs=0.0)
         assert omega_closed_form(rho, spec) == pytest.approx(float(vorticity), rel=5e-16,
                                                              abs=0.0)
+
+    @pytest.mark.parametrize("kind", ["tt", "mtt"])
+    def test_closed_forms_where_rho_omega_overflows(self, kind):
+        # rho * omega overflowed: lambda was inf, the speed c, and the rate
+        # and the vorticity were refused as an overflow
+        rho, omega, c = 1.5252990216509972e+77, 3.364998115658751e+231, 9.11131909243001e+307
+        spec = CongruenceSpec(kind, omega, c)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c)
+            cosh = (lam.exp() + (-lam).exp()) / 2
+            sinh = (lam.exp() - (-lam).exp()) / 2
+            expected = {
+                rapidity: lam,
+                fixed_point_speed: Decimal(c) * sinh / cosh,
+                proper_time_rate: 1 / cosh,
+                omega_closed_form: Decimal(c) / (2 * Decimal(rho)) * (sinh * cosh + lam),
+                revolution_period: 2 * PI_40 * Decimal(rho) * cosh / (Decimal(c) * sinh),
+                proper_period: 2 * PI_40 * Decimal(rho) / (Decimal(c) * sinh),
+            }
+        # 4 eps (1 + lambda): cosh and sinh of a rounded lambda
+        rel = 4 * sys.float_info.epsilon * (1 + float(lam))
+        for fn, value in expected.items():
+            got = fn(spec, rho) if fn is proper_period else fn(rho, spec)
+            assert got == pytest.approx(float(value), rel=rel, abs=0.0), fn
 
     @pytest.mark.parametrize("kind,rho,omega,c,rel", [
         # tt at rapidity 1: the lab period 2 pi (rho / c) / tanh(1) is
