@@ -26,11 +26,11 @@ exactly, and non-finite values become null. Both formats are rendered a
 block of rows at a time (_render_csv, _render_json).
 
 omega, compare and precess each compute their rows with one compute_rows
-call: each distinct model once (congruences._MODEL), differenced in one
-kinematics._scalar_rows call, whose passes are bounded in size. It
-returns one (kind, rows) section per kind, and kinds of one model share
-one rows list: the mtt rows are rendered once, as the tt section with its
-kind cell rewritten.
+call: each distinct model once (congruences._MODEL), every radius of it
+differenced in one kinematics._scalar_rows call, whose passes are bounded
+in size, and each row built and marked in one place, _row. Kinds of one
+model share one rows list: the mtt rows are rendered once, as the tt
+section with its kind cell rewritten.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
 or precess's fw_measured more than 1e-6 relative off the Thomas angle
@@ -151,8 +151,23 @@ def _perturbation() -> float:
     return float(raw) if raw.strip() else 0.0
 
 
-def _marked_row(kind: str, rho: float, lam: float, status: str) -> ReportRow:
-    return ReportRow(kind, rho, lam, *_NANS, status)
+def _row(spec: CongruenceSpec, rho: float, lam: float, scalar: float) -> ReportRow:
+    """The row of spec at rho with the numeric scalar scalar; its closed-form
+    columns come from one precession_per_revolution report. It is marked
+    light_cylinder where that raises LightCylinderError, and domain_error
+    where it raises another DomainError or where scalar is nan."""
+    try:
+        report = precession_per_revolution(spec, rho)
+        status = "domain_error" if math.isnan(scalar) else "ok"
+    except LightCylinderError:
+        status = "light_cylinder"
+    except DomainError:
+        status = "domain_error"
+    if status != "ok":
+        return ReportRow(spec.kind, rho, lam, *_NANS, status)
+    closed = report.vorticity
+    return ReportRow(spec.kind, rho, lam, scalar, closed, abs(scalar - closed) / closed,
+                     report.speed, report.dtau_dt, report.delta_phi, report.net_angle)
 
 
 def compute_rows(kinds: list[str], rhos, omega: float, c: float,
@@ -164,48 +179,22 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
     kinds it models share its one rows list, whose rows carry the model's
     kind: the renderers format that list once and write it under each
     kind (an mtt section is the tt section with its kind cell rewritten).
-    The closed-form columns of a row come from one
-    precession_per_revolution report; a row whose report raises
-    LightCylinderError is marked light_cylinder, and one that raises
-    another DomainError domain_error. The numeric scalars of the other
-    rows, of every model, come from one kinematics._scalar_rows call,
-    multiplied by (1 + perturb); a row it gives as nan (stencil does not
-    fit, value not finite) is marked domain_error too.
+    One kinematics._scalar_rows call differences every radius of every
+    model (nan where the stencil does not fit or a value is not finite),
+    the scalars multiplied by (1 + perturb), and each row is then built
+    and marked in one place, _row.
     """
     rhos = list(map(float, rhos))
     lams = [_rapidity(rho, omega, c) for rho in rhos]
     specs = [CongruenceSpec(model, omega, c)
              for model in dict.fromkeys(_MODEL[kind] for kind in kinds)]
-    tables, pendings, coords = [], [], []
-    for spec in specs:
-        rows, pending = [], []
-        for i, rho in enumerate(rhos):
-            try:
-                # the report holds its row's slot until the row replaces it
-                rows.append(precession_per_revolution(spec, rho))
-                pending.append(i)
-            except LightCylinderError:
-                rows.append(_marked_row(spec.kind, rho, lams[i], "light_cylinder"))
-            except DomainError:
-                rows.append(_marked_row(spec.kind, rho, lams[i], "domain_error"))
-        x = np.zeros((len(pending), 4))
-        x[:, 1] = [rhos[i] for i in pending]
-        tables.append(rows)
-        pendings.append(pending)
-        coords.append(x)
-    for spec, rows, pending, scalars in zip(specs, tables, pendings,
-                                            _scalar_rows(specs, coords)):
-        for i, scalar in zip(pending, scalars.tolist()):
-            if math.isnan(scalar):
-                rows[i] = _marked_row(spec.kind, rhos[i], lams[i], "domain_error")
-                continue
-            scalar *= 1.0 + perturb
-            report = rows[i]
-            closed = report.vorticity
-            rows[i] = ReportRow(spec.kind, rhos[i], lams[i], scalar, closed,
-                                abs(scalar - closed) / closed, report.speed,
-                                report.dtau_dt, report.delta_phi, report.net_angle)
-    computed = {spec.kind: rows for spec, rows in zip(specs, tables)}
+    x = np.zeros((len(rhos), 4))
+    x[:, 1] = rhos
+    computed = {
+        spec.kind: [_row(spec, rho, lam, scalar) for rho, lam, scalar
+                    in zip(rhos, lams, (scalars * (1.0 + perturb)).tolist())]
+        for spec, scalars in zip(specs, _scalar_rows(specs, [x] * len(specs)))
+    }
     return [(kind, computed[_MODEL[kind]]) for kind in kinds]
 
 
@@ -393,6 +382,9 @@ def cmd_compare(args) -> int:
 
 
 def cmd_precess(args) -> int:
+    # above 2**53 step indices are no longer exact floats
+    if args.fw_check is not None and not 16 <= args.fw_check <= 2**53:
+        raise UsageError("--fw-check needs 16 to 2**53 steps")
     spec = CongruenceSpec(args.kind, args.omega, args.c)
     row = compute_row(args.kind, args.rho, args.omega, args.c, _perturbation())
     if row.status != "ok":
@@ -414,9 +406,6 @@ def cmd_precess(args) -> int:
     }
     names, values = ROW_FIELDS, row
     if args.fw_check is not None:
-        if not 16 <= args.fw_check <= 2**53:
-            # above 2**53 step indices are no longer exact floats
-            raise UsageError("--fw-check needs 16 to 2**53 steps")
         try:
             fw_measured = measure_precession_angle(spec, args.rho, args.fw_check)
         except ConstraintDriftError as exc:

@@ -55,7 +55,9 @@ class CongruenceSpec:
     """Which congruence to use, with its rotation rate and light speed.
 
     omega = 0 is accepted and describes the static congruence; it is only
-    rejected by operations that need an actual revolution.
+    rejected by operations that need an actual revolution. omega and c
+    must be finite: an infinite or nan value raises ValueError, as the CLI
+    refuses such a flag.
     """
 
     kind: str
@@ -65,10 +67,10 @@ class CongruenceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        if not self.omega >= 0.0:
-            raise ValueError(f"omega must be >= 0, got {self.omega}")
-        if not self.c > 0.0:
-            raise ValueError(f"c must be positive, got {self.c}")
+        if not 0.0 <= self.omega < math.inf:
+            raise ValueError(f"omega must be finite and >= 0, got {self.omega}")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
 
 def _rapidity(rho: float, omega: float, c: float) -> float:

@@ -310,6 +310,12 @@ class TestPrecess:
             )
             assert code == 64, steps
             assert "Traceback" not in err
+        # the range is checked before the point: a refused point is no excuse
+        for point in (["--kind", "gal", "--rho", "5"], ["--kind", "tt", "--rho", "1e-300"]):
+            code, out, err = run(capsys, ["precess", *point, "--omega", "0.5",
+                                          "--fw-check", "3"])
+            assert (code, out) == (64, ""), point
+            assert err == "rotframes: error: --fw-check needs 16 to 2**53 steps\n"
 
 
 class TestSweepSize:
@@ -508,16 +514,18 @@ class TestModelReuse:
 
     @staticmethod
     def _spy(monkeypatch):
-        """The models of each _scalar_rows call, one tuple per call."""
-        kinds = []
+        """The models of each _scalar_rows call, one tuple per call, and the
+        row counts of its arrays, one tuple per call."""
+        kinds, sizes = [], []
         real = cli._scalar_rows
 
         def spy(fields, xs):
             kinds.append(tuple(field.kind for field in fields))
+            sizes.append(tuple(len(x) for x in xs))
             return real(fields, xs)
 
         monkeypatch.setattr(cli, "_scalar_rows", spy)
-        return kinds
+        return kinds, sizes
 
     @pytest.mark.parametrize("perturb", ["", "1e-3"])
     @pytest.mark.parametrize("kinds,models", [
@@ -529,9 +537,11 @@ class TestModelReuse:
         monkeypatch.setenv(cli.PERTURB_ENV, perturb)
         singles = [run(capsys, ["omega", "--kind", k] + self.SWEEP)
                    for k in kinds.split(",")]
-        called = self._spy(monkeypatch)
+        called, sizes = self._spy(monkeypatch)
         code, out, err = run(capsys, ["omega", "--kind", kinds] + self.SWEEP)
         assert called == models
+        # every radius of each model is differenced, past the light cylinder too
+        assert sizes == [(40,) * len(m) for m in models]
         assert out == CSV_HEADER + "\n" + "".join(
             o.split("\n", 1)[1] for _, o, _ in singles)
         assert code == max(c for c, _, _ in singles)
@@ -545,13 +555,39 @@ class TestModelReuse:
     @pytest.mark.parametrize("rho", ["0.05", "0.9", "1.6", "400"])
     def test_compare_rows_are_the_sweep_rows(self, capsys, monkeypatch, rho, perturb):
         monkeypatch.setenv(cli.PERTURB_ENV, perturb)
-        called = self._spy(monkeypatch)
+        called, sizes = self._spy(monkeypatch)
         _, out, _ = run(capsys, ["compare", "--rho", rho, "--omega", "0.7"])
-        assert called == [("gal", "tt")]
+        assert called == [("gal", "tt")] and sizes == [(1, 1)]
         _, sweep, _ = run(capsys, ["omega", "--rho-min", rho, "--rho-max", "1e3",
                                    "--steps", "2", "--omega", "0.7"])
         assert out.split("\n")[1:4] == sweep.split("\n")[1::2][:3]
         assert [line.split(",")[0] for line in out.split("\n")[1:4]] == ["gal", "tt", "mtt"]
+
+
+class TestRefusedClosedForms:
+    """Every radius reaches _scalar_rows, so a row whose closed form raises
+    is differenced too where its stencil fits; the closed form still marks
+    the row domain_error, and precess still prints its own message."""
+
+    @pytest.mark.parametrize("kind,flags", [
+        ("tt", ["--rho", "400", "--omega", "1"]),  # rapidity 400 overflows
+        ("gal", ["--rho", "1", "--omega", "1e-310"]),  # the period overflows
+        ("tt", ["--rho", "1", "--omega", "1e-310"]),
+        ("mtt", ["--rho", "1e-200", "--omega", "1e-200"]),  # the rapidity is 0
+        ("tt", ["--rho", "1", "--omega", "1e-300", "--c", "1e30"]),
+    ])
+    def test_rows_stay_marked_and_precess_keeps_the_message(self, capsys, kind, flags):
+        args = dict(zip(flags[::2], flags[1::2]))
+        rho, omega, c = (float(args.get(f, "1")) for f in ("--rho", "--omega", "--c"))
+        with pytest.raises(rotframes.DomainError) as refused:
+            rotframes.precession_per_revolution(rotframes.CongruenceSpec(kind, omega, c), rho)
+        code, out, err = run(capsys, ["precess", "--kind", kind, *flags])
+        assert (code, out, err) == (3, "", f"rotframes: {refused.value}\n")
+        _, out, _ = run(capsys, ["compare", *flags])
+        assert parse_csv(out)[1][["gal", "tt", "mtt"].index(kind)]["status"] == "domain_error"
+        sweep = ["--rho-min", args["--rho"], "--rho-max", "1e3", "--steps", "2"]
+        _, out, _ = run(capsys, ["omega", "--kind", kind, *sweep, *flags[2:]])
+        assert parse_csv(out)[1][0]["status"] == "domain_error"
 
 
 class TestRenderOnce:

@@ -600,6 +600,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             CongruenceSpec("gal", 0.5, c=0.0)
 
+    @pytest.mark.parametrize("omega,c", [
+        (math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf), (1.0, math.nan),
+        (-math.inf, 1.0), (1.0, -math.inf),
+    ])
+    def test_rejects_non_finite_omega_and_c(self, omega, c):
+        # omega = inf gave a speed of 1 and a period of 2 pi at rho = 1, and
+        # c = inf a proper time rate of 1, none of them a documented limit
+        with pytest.raises(ValueError, match="must be finite"):
+            CongruenceSpec("tt", omega, c)
+
     def test_rapidity_matches_definition(self):
         spec = CongruenceSpec("tt", 0.75, 1.5)
         assert rapidity(2.0, spec) == pytest.approx(1.0, rel=1e-15)
