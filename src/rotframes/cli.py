@@ -28,14 +28,18 @@ block of rows at a time (_render_csv, _render_json).
 omega, compare and precess each compute their rows with one compute_rows
 call: each distinct model once (congruences._MODEL), every radius of it
 differenced in one kinematics._scalar_rows call, whose passes are bounded
-in size, and each row built and marked in one place, _row. Kinds of one
-model share one rows list: the mtt rows are rendered once, as the tt
-section with its kind cell rewritten.
+in size. A table of _ROWS_FROM radii or more takes the closed-form
+columns of its ordinary rows from arrays, one numpy pass per model
+(_array_rows); a shorter one, such as the one-row tables of compare and
+precess, builds and marks each row in one place, _row, whose bits the
+array path keeps. Kinds of one model share one rows list: the mtt rows
+are rendered once, as the tt section with its kind cell rewritten.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
 or precess's fw_measured more than 1e-6 relative off the Thomas angle
 -2 pi u^t), 3 domain error (one-line diagnostic, no traceback), 64 usage
-error.
+error (a bad flag, an --out that cannot be written, or a bad
+ROTFRAMES_SELF_CHECK_PERTURB), also with one line.
 
 Negative flag values may be written in exponent form (--t -1e-05), not
 only as plain decimals. The argument parser is built once per process, on
@@ -43,8 +47,9 @@ the first main() call, and reused by every later call; build_parser()
 always returns a fresh one.
 
 The environment variable ROTFRAMES_SELF_CHECK_PERTURB, when set to a
-float x, multiplies every numerically computed vorticity by (1 + x).
-It exists to fault-inject the --self-check gate in tests.
+finite number x, multiplies every numerically computed vorticity by
+(1 + x); any other value that is not blank is a usage error. It exists to
+fault-inject the --self-check gate in tests.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ import math
 import os
 import re
 import sys
-from itertools import chain
+from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -66,7 +71,9 @@ from .congruences import (
     _MODEL,
     KINDS,
     CongruenceSpec,
+    _fixed_point_rows,
     _rapidity,
+    _rapidity_rows,
     gal_inverse,
     gal_map,
     omega_closed_form,  # noqa: F401  rfbench/layers.py traces it here
@@ -96,8 +103,8 @@ CSV_HEADER = (
 )
 ROW_FIELDS = CSV_HEADER.split(",")
 
-# a three-kind sweep of this many steps peaks at about 231 MB RSS as CSV and
-# 343 MB as JSON (Python 3.11, numpy 2.4, x86-64 Linux)
+# a three-kind sweep of this many steps peaks at about 229 MB RSS as CSV and
+# 346 MB as JSON (Python 3.11, numpy 2.4, x86-64 Linux)
 MAX_SWEEP_STEPS = 100_000
 PERTURB_ENV = "ROTFRAMES_SELF_CHECK_PERTURB"
 
@@ -107,6 +114,8 @@ EXIT_DOMAIN = 3
 EXIT_USAGE = 64
 
 _NANS = (float("nan"),) * 7  # the numeric columns of a marked row
+# rows per table from which compute_rows takes the array path (see there)
+_ROWS_FROM = 16
 
 
 class UsageError(Exception):
@@ -147,8 +156,15 @@ class ReportRow(NamedTuple):
 
 
 def _perturbation() -> float:
+    """The x of PERTURB_ENV, 0 where it is unset or blank; a value that is
+    not a finite number is a usage error."""
     raw = os.environ.get(PERTURB_ENV, "")
-    return float(raw) if raw.strip() else 0.0
+    if not raw.strip():
+        return 0.0
+    try:
+        return _finite(raw)
+    except (ValueError, argparse.ArgumentTypeError):
+        raise UsageError(f"{PERTURB_ENV} must be a finite number, got {raw!r}") from None
 
 
 def _row(spec: CongruenceSpec, rho: float, lam: float, scalar: float) -> ReportRow:
@@ -181,21 +197,59 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
     kind (an mtt section is the tt section with its kind cell rewritten).
     One kinematics._scalar_rows call differences every radius of every
     model (nan where the stencil does not fit or a value is not finite),
-    the scalars multiplied by (1 + perturb), and each row is then built
-    and marked in one place, _row.
+    the scalars multiplied by (1 + perturb).
+
+    A table of fewer than _ROWS_FROM radii then builds and marks each row
+    in one place, _row, from one precession_per_revolution report. A
+    longer one builds each model's rows with _array_rows, whose one numpy
+    pass gives the ordinary rows the bits _row gives them, so no row
+    depends on its table. The pass has a fixed cost that per-row reports
+    do not: the break-even measured 10 to 12 rows, hence _ROWS_FROM.
     """
-    rhos = list(map(float, rhos))
-    lams = [_rapidity(rho, omega, c) for rho in rhos]
+    rho = np.array(rhos, dtype=float)
+    rhos = rho.tolist()
     specs = [CongruenceSpec(model, omega, c)
              for model in dict.fromkeys(_MODEL[kind] for kind in kinds)]
     x = np.zeros((len(rhos), 4))
-    x[:, 1] = rhos
-    computed = {
-        spec.kind: [_row(spec, rho, lam, scalar) for rho, lam, scalar
-                    in zip(rhos, lams, (scalars * (1.0 + perturb)).tolist())]
-        for spec, scalars in zip(specs, _scalar_rows(specs, [x] * len(specs)))
-    }
+    x[:, 1] = rho
+    scalars = [s * (1.0 + perturb) for s in _scalar_rows(specs, [x] * len(specs))]
+    if len(rhos) < _ROWS_FROM:
+        lams = [_rapidity(r, omega, c) for r in rhos]
+        computed = {spec.kind: [_row(spec, *row) for row in zip(rhos, lams, s.tolist())]
+                    for spec, s in zip(specs, scalars)}
+    else:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            lams = _rapidity_rows(rho, rho.min(), omega, c).tolist()
+            computed = {spec.kind: _array_rows(spec, rho, rhos, lams, s)
+                        for spec, s in zip(specs, scalars)}
     return [(kind, computed[_MODEL[kind]]) for kind in kinds]
+
+
+def _array_rows(spec: CongruenceSpec, rho: np.ndarray, rhos: list, lams: list,
+                scalar: np.ndarray) -> list[ReportRow]:
+    """The rows of spec at the radii rho with the numeric scalars scalar,
+    as _row builds them; rhos holds the radii as floats, lams their
+    rapidities.
+
+    The closed-form columns of the plain rows (congruences._fixed_point_rows)
+    and their rel_err, delta_phi and net come from one numpy pass. A gal
+    row at or past the light cylinder is marked from its mask, without a
+    report, and every other row, a nan scalar among them, is built by _row.
+    """
+    fp = _fixed_point_rows(rho, spec)
+    scalars = scalar.tolist()
+    rel_err = np.abs(scalar - fp.vorticity) / fp.vorticity
+    delta_phi = -fp.vorticity * fp.proper_period
+    columns = zip(repeat(spec.kind), rhos, lams, scalars, fp.vorticity.tolist(),
+                  rel_err.tolist(), fp.speed.tolist(), fp.dtau_dt.tolist(),
+                  delta_phi.tolist(), (delta_phi + 2.0 * math.pi).tolist(), repeat("ok"))
+    # ReportRow._make without its Python-level call per row
+    rows = list(map(tuple.__new__, repeat(ReportRow), columns))
+    (others,) = (~fp.plain | np.isnan(scalar)).nonzero()
+    for i, outside in zip(others.tolist(), fp.light_cylinder[others].tolist()):
+        rows[i] = (ReportRow(spec.kind, rhos[i], lams[i], *_NANS, "light_cylinder")
+                   if outside else _row(spec, rhos[i], lams[i], scalars[i]))
+    return rows
 
 
 def compute_row(kind: str, rho: float, omega: float, c: float,
@@ -307,8 +361,11 @@ def _emit(args, params: dict, field_names: list[str], sections: list) -> None:
     else:
         text = _render_csv(",".join(field_names), sections)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out!r}: {exc.strerror or exc}") from None
     else:
         sys.stdout.write(text)
 

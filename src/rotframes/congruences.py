@@ -21,8 +21,11 @@ rate, vorticity scalar) come from one evaluation per radius,
 _fixed_point, which holds the one block per kind and the domain checks.
 fixed_point_speed, proper_time_rate, revolution_period and
 omega_closed_form read their value from it, and a value past the float
-range becomes one DomainError (_in_range). _u_rows is its array twin for
-the four-velocity. lambda = rho omega / c has one rule, _rapidity.
+range becomes one DomainError (_in_range). Its array twins are _u_rows,
+for the four-velocity, and _fixed_point_rows, for the columns of a
+precession report, each with the scalar bits on the rows it covers.
+lambda = rho omega / c has one rule, _rapidity, and _rapidity_rows
+applies it to an array.
 
 All operations are pure functions; a CongruenceSpec is immutable, so
 parameter sweeps can evaluate concurrently without coordination.
@@ -90,6 +93,20 @@ def _rapidity(rho: float, omega: float, c: float) -> float:
         return math.ldexp(m_rho * m_omega / m_c, e_rho + e_omega - e_c)
     except OverflowError:
         return math.inf
+
+
+def _rapidity_rows(rho: np.ndarray, rho_min: float, omega: float, c: float) -> np.ndarray:
+    """_rapidity at each radius of rho, whose least value is rho_min, bit
+    for bit: rho * omega / c at once, unless some rho * omega is not a
+    normal float."""
+    # rho * omega <= rho unless omega > 1, so only then can it overflow (an
+    # inf rho gives the same lambda either way); a nan rho_min takes the
+    # rows one by one
+    if omega and (not rho_min * omega >= sys.float_info.min
+                  or omega > 1.0 and rho.max(initial=0.0) * omega == math.inf):
+        # rare: take _rapidity row by row (it keeps the bits of the other rows)
+        return np.array([_rapidity(r, omega, c) for r in rho.tolist()])
+    return rho * omega / c
 
 
 def rapidity(rho: float, spec: CongruenceSpec) -> float:
@@ -234,15 +251,7 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
         np.not_equal(rho[1:], rho[:-1], out=new[1:])
         heads, run = rho[new], np.add.accumulate(new, dtype=np.intp)
         run -= 1
-    # rho * omega <= rho unless omega > 1, so only then can it overflow (an
-    # inf rho gives the same lambda either way)
-    if omega and (rho_min * omega < sys.float_info.min
-                  or omega > 1.0 and heads.max(initial=0.0) * omega == math.inf):
-        # rare: some rho * omega is not a normal float, so take _rapidity
-        # row by row (it keeps the bits of the other rows)
-        lam = [_rapidity(r, omega, c) for r in heads.tolist()]
-    else:
-        lam = (heads * omega / c).tolist()
+    lam = _rapidity_rows(heads, rho_min, omega, c).tolist()
     n = len(lam)
     u = np.zeros((n, 4))
     try:
@@ -370,6 +379,65 @@ def _period(rho: float, spec: CongruenceSpec, fp: _FixedPoint,
             f"omega = {spec.omega}, c = {spec.c}"
         )
     return period
+
+
+class _FixedPointRows(NamedTuple):
+    """Closed forms at each radius of an array (see _fixed_point_rows)."""
+
+    vorticity: np.ndarray
+    speed: np.ndarray
+    dtau_dt: np.ndarray
+    proper_period: np.ndarray
+    plain: np.ndarray  # bool: the values above are the scalar path's
+    light_cylinder: np.ndarray  # bool: a gal radius at or past the light cylinder
+
+
+def _fixed_point_rows(rho: np.ndarray, spec: CongruenceSpec) -> _FixedPointRows:
+    """The array twin of _fixed_point and _period(rate=dtau_dt) at each
+    radius of rho, for the rows where both take their ordinary case.
+
+    A row is plain where every branch of _fixed_point and _period takes
+    its ordinary case and every value is finite; its vorticity is then
+    positive. There its vorticity, speed, dtau_dt and proper period have
+    the bits of the scalar path: the same IEEE operations run in the same
+    order, lambda comes from _rapidity_rows, and cosh, sinh and tanh from
+    math (see _u_rows). The other rows hold no meaningful value, as the
+    scalar path raises there or takes a fallback branch; light_cylinder
+    marks the gal rows among them where it raises LightCylinderError.
+    numpy's warnings are left to the caller.
+    """
+    omega, c = spec.omega, spec.c
+    if spec.kind == GAL:
+        light_cylinder = rho * omega >= c
+        beta = omega * rho / c
+        gap = 1.0 - beta * beta
+        dtau_dt = np.sqrt(gap)
+        vorticity = omega / gap
+        period = 2.0 * math.pi / omega if omega else math.inf
+        plain = (rho > 0.0) & ~light_cylinder & (vorticity < math.inf) & (period < math.inf)
+        return _FixedPointRows(vorticity, omega * rho, dtau_dt, period * dtau_dt,
+                               plain, light_cylinder)
+    lam = _rapidity_rows(rho, rho.min(initial=math.inf), omega, c)
+    lams, n = lam.tolist(), len(lam)
+    try:
+        ch = np.fromiter(map(math.cosh, lams), float, n)
+        sh = np.fromiter(map(math.sinh, lams), float, n)
+    except OverflowError:
+        # rare: those rows are not plain
+        ch = np.fromiter(map(_or_inf(math.cosh), lams), float, n)
+        sh = np.fromiter(map(_or_inf(math.sinh), lams), float, n)
+    speed = c * np.fromiter(map(math.tanh, lams), float, n)
+    vorticity = c / (2.0 * rho) * (sh * ch + lam)
+    two_pi_rho = 2.0 * math.pi * rho
+    period = two_pi_rho / speed
+    # a finite vorticity implies ch < inf, so a finite dtau_dt; a finite
+    # period implies 2 pi rho < inf, so 2 rho < inf, and omega above 3.5e-308,
+    # so a vorticity of omega or more
+    plain = ((rho >= sys.float_info.min) & (vorticity < math.inf)
+             & (speed >= sys.float_info.min) & (period < math.inf))
+    dtau_dt = 1.0 / ch
+    return _FixedPointRows(vorticity, speed, dtau_dt, period * dtau_dt, plain,
+                           np.zeros(n, bool))
 
 
 def fixed_point_speed(rho: float, spec: CongruenceSpec) -> float:

@@ -438,6 +438,51 @@ def test_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+class TestInputsOutsideArgv:
+    """The environment and the file system end in a documented exit too."""
+
+    COMMANDS = [
+        ["compare", "--rho", "1", "--omega", "0.5"],
+        ["precess", "--kind", "tt", "--rho", "1", "--omega", "0.5"],
+        ["omega", "--rho-min", "0.5", "--rho-max", "1", "--steps", "20", "--omega", "0.5"],
+    ]
+
+    @pytest.mark.parametrize("value", ["abc", "inf", "-inf", "nan", "1e999", "1e-3x"])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_bad_perturbation_is_a_usage_error(self, capsys, monkeypatch, argv, value):
+        monkeypatch.setenv(cli.PERTURB_ENV, value)
+        code, out, err = run(capsys, argv + ["--self-check"])
+        assert (code, out) == (64, "")
+        assert err == (f"rotframes: error: {cli.PERTURB_ENV} must be a finite number, "
+                       f"got {value!r}\n")
+
+    def test_blank_perturbation_is_zero(self, capsys, monkeypatch):
+        argv = self.COMMANDS[2] + ["--self-check"]
+        unset = run(capsys, argv)
+        monkeypatch.setenv(cli.PERTURB_ENV, " \t")
+        assert run(capsys, argv) == unset
+        assert unset[0] == 0
+
+    @pytest.mark.parametrize("target,reason", [
+        ("missing/x.csv", "No such file or directory"), (".", "Is a directory"),
+    ])
+    @pytest.mark.parametrize("argv", COMMANDS)
+    def test_unwritable_out_is_a_usage_error(self, capsys, tmp_path, argv, target, reason):
+        path = tmp_path / target
+        code, out, err = run(capsys, argv + ["--out", str(path)])
+        assert (code, out) == (64, "")
+        assert err == f"rotframes: error: cannot write --out {str(path)!r}: {reason}\n"
+        assert [p.name for p in tmp_path.iterdir()] == []
+
+    def test_failed_run_writes_no_file(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "x.csv"
+        argv = ["precess", "--kind", "gal", "--rho", "3", "--omega", "0.5", "--out", str(path)]
+        assert run(capsys, argv)[0] == 3
+        monkeypatch.setenv(cli.PERTURB_ENV, "abc")
+        assert run(capsys, self.COMMANDS[0] + ["--out", str(path)])[0] == 64
+        assert not path.exists()
+
+
 class TestBatchedSweep:
     # tests/data/omega_criterion8.csv is this sweep's output from the
     # row-by-row implementation that preceded the batched one
@@ -500,6 +545,117 @@ class TestBatchedSweep:
         run(capsys, self.GOLDEN_ARGV)
         run(capsys, ["compare", "--rho", "1", "--omega", "0.5"])
         assert len(calls) == 2
+
+
+def _bits(row):
+    """A row with its floats as float.hex, so that nan equals nan."""
+    return tuple(v if isinstance(v, str) else float(v).hex() for v in row)
+
+
+class TestRowsDoNotDependOnTheirTable:
+    """compute_rows builds the rows of a table of _ROWS_FROM rows or more
+    from arrays, and smaller tables row by row: every row has the bits of
+    compute_row at its radius either way, also where the closed forms take
+    a fallback branch or refuse the radius."""
+
+    # omega, c, perturb, radii that force a fallback, and the range of the
+    # seeded radii around them
+    CASES = {
+        # gal at and past the light cylinder and with its stencil across
+        # it; tt at rapidity in (355, 710] and above 710; radii off the domain
+        "light_cylinder_and_overflow": (0.5, 1.0, 0.0, [2.0, 1.99995, 2.5, 720.0, 1500.0,
+                                                        0.0, -1.0], (0.01, 4.0)),
+        "perturbed": (0.7, 1.3, 1e-3, [1.3 / 0.7, 700.0], (0.01, 3.0)),
+        # rho omega, and so the tt speed, is subnormal below rho = 2.2e-8;
+        # a nan radius must not hide those rows
+        "subnormal_rho_omega": (1e-300, 1.0, 0.0, [1e-12, 2e-8, 2.3e-8, math.nan],
+                                (1e-12, 1e10)),
+        # the gal vorticity overflows inside the light cylinder
+        "huge_omega": (1e300, 1.0, 0.0, [9.9999999999e-301, 5e-301], (1e-302, 1e-300)),
+        # 2 pi rho rounds in the subnormal range where the tt speed need not
+        "subnormal_rho": (1e10, 1.0, 0.0, [5e-324, 1e-310, 2e-308], (1e-320, 1e-300)),
+        # 2 pi / omega overflows; where the gal rate is small enough the
+        # proper period 2 pi rate / omega does not (rho = 9.999e298)
+        "tiny_omega": (1e-309, 1e-10, 0.0, [9.999e298, 5e298, 1e299], (1e290, 1e299)),
+        # 2 pi rho overflows above 2.86e307, 2 rho above 8.99e307
+        "huge_rho": (1e-300, 1e10, 0.0, [2.8e307, 2.9e307, 8.9e307, 9e307, 1.7e308],
+                     (1.0, 1.7e308)),
+        # the difference pipeline refuses these c
+        "tiny_c": (1e-170, 1e-160, 0.0, [1e-300, 1e10], (0.1, 5.0)),
+        "huge_c": (1.0, 1e150, 0.0, [1e-300, 7e152], (1e149, 1e151)),
+    }
+    # cases whose numeric scalars are nan at every radius, so every row is
+    # marked; cases with rows whose report takes a fallback branch without
+    # raising (a tt speed below the normal floats, a subnormal rho, 2 pi rho
+    # or 2 pi / omega past the float range), which are never plain
+    MARKED_ONLY = {"huge_omega", "subnormal_rho", "tiny_omega", "tiny_c", "huge_c"}
+    FALLBACK = {"subnormal_rho_omega", "subnormal_rho", "tiny_omega", "huge_rho", "tiny_c"}
+
+    def _radii(self, case, size, rng):
+        _, _, _, forced, (lo, hi) = self.CASES[case]
+        seeded = np.exp(rng.uniform(np.log(lo), np.log(hi), size - len(forced)))
+        return rng.permutation(np.concatenate([forced, seeded])).tolist()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_rows_equal_compute_row_bitwise(self, case):
+        omega, c, perturb, _, _ = self.CASES[case]
+        rng = np.random.default_rng(sorted(self.CASES).index(case))
+        single, statuses = {}, set()
+        for size in (cli._ROWS_FROM - 1, cli._ROWS_FROM, 4 * cli._ROWS_FROM):
+            rhos = self._radii(case, size, rng)
+            for kind, rows in cli.compute_rows(["gal", "tt", "mtt"], rhos, omega, c,
+                                               perturb):
+                assert [_bits([row.rho]) for row in rows] == [_bits([r]) for r in rhos]
+                for rho, row in zip(rhos, rows):
+                    if (kind, rho) not in single:
+                        single[kind, rho] = _bits(
+                            cli.compute_row(kind, rho, omega, c, perturb)[1:])
+                    assert _bits(row[1:]) == single[kind, rho], (kind, size, rho)
+                    statuses.add(row.status)
+        assert statuses - {"ok"}
+        assert ("ok" in statuses) == (case not in self.MARKED_ONLY)
+
+    def test_plain_and_light_cylinder_rows_take_no_report(self, monkeypatch):
+        calls = []
+        real = cli.precession_per_revolution
+
+        def spy(spec, rho):
+            calls.append(spec.kind)
+            return real(spec, rho)
+
+        monkeypatch.setattr(cli, "precession_per_revolution", spy)
+        # 2.5 is past the gal light cylinder, 720 past the tt float range
+        rhos = [2.5, 720.0] + np.linspace(0.1, 1.9, cli._ROWS_FROM - 2).tolist()
+        cli.compute_rows(["gal", "tt", "mtt"], rhos, 0.5, 1.0)
+        assert calls == ["tt"]
+        calls.clear()
+        cli.compute_rows(["gal", "tt", "mtt"], rhos[:-1], 0.5, 1.0)
+        assert calls == ["gal"] * (cli._ROWS_FROM - 1) + ["tt"] * (cli._ROWS_FROM - 1)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_plain_closed_forms_equal_the_report_bitwise(self, case):
+        from rotframes.congruences import _fixed_point_rows
+
+        omega, c, _, _, _ = self.CASES[case]
+        rhos = self._radii(case, 4 * cli._ROWS_FROM, np.random.default_rng(5))
+        plain = set()
+        for kind in ("gal", "tt"):
+            spec = rotframes.CongruenceSpec(kind, omega, c)
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                fp = _fixed_point_rows(np.array(rhos), spec)
+            for i, rho in enumerate(rhos):
+                try:
+                    report = rotframes.precession_per_revolution(spec, rho)
+                except rotframes.DomainError as exc:
+                    assert not fp.plain[i], (kind, rho)
+                    assert fp.light_cylinder[i] == isinstance(exc, rotframes.LightCylinderError)
+                    continue
+                assert not fp.light_cylinder[i]
+                if fp.plain[i]:
+                    assert _bits([col[i] for col in fp[:4]]) == _bits(report[4:8]), (kind, rho)
+                plain.add(bool(fp.plain[i]))
+        assert (True in plain) == (case != "tiny_omega")
+        assert (False in plain) == (case in self.FALLBACK)
 
 
 class TestModelReuse:
