@@ -46,10 +46,10 @@ only as plain decimals. The argument parser is built once per process, on
 the first main() call, and reused by every later call; build_parser()
 always returns a fresh one.
 
-The environment variable ROTFRAMES_SELF_CHECK_PERTURB, when set to a
-finite number x, multiplies every numerically computed vorticity by
-(1 + x); any other value that is not blank is a usage error. It exists to
-fault-inject the --self-check gate in tests.
+ROTFRAMES_SELF_CHECK_PERTURB, set to a finite number x, multiplies every
+numerically computed vorticity by (1 + x), a product past the float
+range marking its row domain_error; any other value that is not blank is
+a usage error. It exists to fault-inject the --self-check gate in tests.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
     kind: the renderers format that list once and write it under each
     kind (an mtt section is the tt section with its kind cell rewritten).
     One kinematics._scalar_rows call differences every radius of every
-    model (nan where the stencil does not fit or a value is not finite),
-    the scalars multiplied by (1 + perturb).
+    model, the scalars multiplied by (1 + perturb): nan where the stencil
+    does not fit or a value, the perturbed scalar among them, is not finite.
 
     A table of fewer than _ROWS_FROM radii then builds and marks each row
     in one place, _row, from one precession_per_revolution report. A
@@ -212,7 +212,7 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
              for model in dict.fromkeys(_MODEL[kind] for kind in kinds)]
     x = np.zeros((len(rhos), 4))
     x[:, 1] = rho
-    scalars = [s * (1.0 + perturb) for s in _scalar_rows(specs, [x] * len(specs))]
+    scalars = _scalar_rows(specs, [x] * len(specs), 1.0 + perturb)
     if len(rhos) < _ROWS_FROM:
         lams = [_rapidity(r, omega, c) for r in rhos]
         computed = {spec.kind: [_row(spec, *row) for row in zip(rhos, lams, s.tolist())]

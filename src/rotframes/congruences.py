@@ -22,8 +22,9 @@ _fixed_point, which holds the one block per kind and the domain checks.
 fixed_point_speed, proper_time_rate, revolution_period and
 omega_closed_form read their value from it, and a value past the float
 range becomes one DomainError (_in_range). Its array twins are _u_rows,
-for the four-velocity, and _fixed_point_rows, for the columns of a
-precession report, each with the scalar bits on the rows it covers.
+for the four-velocity, which depends on rho alone (so a difference pass
+takes 5 rows per event, see kinematics), and _fixed_point_rows, for the
+columns of a precession report, each with the scalar bits on its rows.
 lambda = rho omega / c has one rule, _rapidity, and _rapidity_rows
 applies it to an array.
 
@@ -207,10 +208,6 @@ def _or_inf(fn):
     return value
 
 
-# rows from which _u_rows evaluates each run of equal radii once
-_RUNS_FROM = 85
-
-
 def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
     """Contravariant four-velocity at each row of x, an (n, 4) coordinate array.
 
@@ -221,16 +218,9 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
     row at or past the light cylinder, whichever row it is. numpy's
     overflow warnings are left to the caller.
 
-    From _RUNS_FROM rows on, tt and mtt evaluate each run of equal radii
-    once, at its first row, and copy that row's components to the rest of
-    the run. A difference stencil repeats its event's radius in 13 of its
-    17 rows, so each event takes 6 calls each of cosh and sinh instead of
-    17. The copy has the bits of the rows it replaces: rho > 0, so the
-    radii of a run are one float (never a -0.0 beside a 0.0, nor a nan),
-    and with omega >= 0 its rapidity is one float too, never -0.0.
-    Finding the runs costs a few numpy calls, more than the calls they
-    save on a stencil of up to 4 events; the break-even measured 5 events,
-    85 rows, hence _RUNS_FROM. Below it every row is evaluated.
+    Only rho is read, so kinematics differences a built-in field along rho
+    alone: 5 rows per event, where a user field takes 17. tt and mtt call
+    cosh and sinh once per row.
     """
     rho = x[:, 1]
     rho_min = rho.min(initial=math.inf)
@@ -244,14 +234,7 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
         u[:, 2] = u[:, 0] * spec.omega
         return u
     omega, c = spec.omega, spec.c
-    heads, run = rho, None
-    if len(rho) >= _RUNS_FROM:
-        new = np.empty(len(rho), bool)  # new[i]: row i starts a run
-        new[0] = True
-        np.not_equal(rho[1:], rho[:-1], out=new[1:])
-        heads, run = rho[new], np.add.accumulate(new, dtype=np.intp)
-        run -= 1
-    lam = _rapidity_rows(heads, rho_min, omega, c).tolist()
+    lam = _rapidity_rows(rho, rho_min, omega, c).tolist()
     n = len(lam)
     u = np.zeros((n, 4))
     try:
@@ -261,8 +244,8 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
         # rare: redo the rows with overflowing ones set to inf
         u[:, 0] = np.fromiter(map(_or_inf(math.cosh), lam), float, n)
         u[:, 2] = np.fromiter(map(_or_inf(math.sinh), lam), float, n)
-    u[:, 2] *= c / heads
-    return u if run is None else u[run]
+    u[:, 2] *= c / rho
+    return u
 
 
 def _u_components(e: Event, spec: CongruenceSpec) -> np.ndarray:

@@ -5,17 +5,24 @@ differences, always with one Richardson extrapolation level), so it
 works for any congruence supplied as u(event), not just the built-in
 ones, whose closed forms (congruences.omega_closed_form) it is checked
 against. Everything runs on arrays of events, and a call at a single
-event is a batch of one. A difference pass lays out 17 rows per event:
-its stencil, four points per axis, then the event itself (_fd_matrix),
-so the rows of consecutive events are one contiguous slice. A pass, of
-at most _PASS events, may hold the events of several fields that share
-c, grouped by field: the metric is evaluated once on all rows, and each
-field once, on its own slice (_jet). The step follows from rho (_step).
+event is a batch of one. A difference pass lays out, per event, four
+stencil rows along each differenced axis, then the event (_fd_matrix), so
+the rows of consecutive events are one slice. A pass, of at most _PASS
+events, may hold the events of several fields that share c, grouped by
+field: the metric is evaluated once on all rows, and each field once, on
+its own slice (_jet). The step follows from rho (_step).
+
+The built-in congruences are stationary, axisymmetric and z-invariant,
+so their u^a, like the metric, depend on rho alone: they are differenced
+along rho only (_axes), in 5 field evaluations per event, and their t,
+phi and z Jacobian columns are +0.0, as a difference along those axes
+gives wherever the event's values are finite (elsewhere every output is
+non-finite either way). A user VelocityField, and every event of a pass
+that holds one, is differenced along every axis, in 17 evaluations.
 
 Each event gets one Jacobian, that of the lowered field,
 du[a, b] = d_b u_a, and the acceleration, the vorticity tensor and the
-vorticity vector are computed from it (17 field evaluations per event:
-16 stencil points and the event itself); kinematic_sample returns them
+vorticity vector are computed from it; kinematic_sample returns them
 all. The metric is diagonal and depends only on rho, so the one metric
 derivative, d_rho g_phi = -2 rho, enters the lowered acceleration
 
@@ -34,19 +41,18 @@ _acceleration_low(jet))), gives the same vector: the acceleration
 bivector cancels under the eps-contraction with u_b, so the two routes
 agree to rounding, and the test suite cross-checks them over these
 private helpers. That checks the cancellation, not two independent
-derivatives: both routes read the same Jacobian. The
-prefactor uses the tangent normalized to unit norm (u / c), which keeps
-the vorticity scalar an angular rate per unit proper time for any value
-of c.
+derivatives: both routes read the same Jacobian. The prefactor uses the
+tangent normalized to unit norm (u / c), which keeps the vorticity
+scalar an angular rate per unit proper time for any value of c.
 
 This module owns the rule for which events can be differenced: the
 stencil must stay off the axis and, for gal, inside the light cylinder
 (_stencil_fits). kinematic_sample, vorticity_scalar and
 vorticity_scalars raise DomainError for an event that fails it or for a
-result that is not finite. _scalar_rows, the
-batch routine behind vorticity_scalars and the CLI tables (one call per
-command), gives nan for such a row instead and differences the other
-rows, of every field it is given, in passes of at most _PASS events.
+result that is not finite. _scalar_rows, the batch routine behind
+vorticity_scalars and the CLI tables (one call per command), gives nan
+for such a row instead and differences the other rows, of every field
+it is given, in passes of at most _PASS events.
 
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
@@ -57,8 +63,8 @@ convention-free.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, wraps
-from typing import Callable, NamedTuple, Sequence, Union
+from functools import cache, partial, wraps
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -89,13 +95,7 @@ _PERM_DG = 4 * _PERM[:, 3] + _PERM[:, 2]
 
 # stencil offsets per axis in units of the step: +-h, then +-h/2 for Richardson
 _RICHARDSON = np.array([1.0, -1.0, 0.5, -0.5])
-# field rows per event in a difference pass: 16 stencil points, then the event
-_STENCIL_ROWS = 17
-# the offset of each row in units of the step, four rows per axis in turn; the
-# event's row is zero. Made as eye * offset, so the other coordinates get
-# +0.0 or -0.0 with the sign of the offset.
-_OFFSETS = np.zeros((_STENCIL_ROWS, 4))
-_OFFSETS[:16] = (np.eye(4)[:, None, :] * _RICHARDSON[:, None]).reshape(16, 4)
+_ALL_AXES = (0, 1, 2, 3)  # the stencil axes of a user field
 # the spans of the two central differences, in units of the step: 2h, then h
 _SPANS = np.array([[2.0], [1.0]])
 # events per difference pass, which bounds its arrays on a long sweep
@@ -124,10 +124,11 @@ FieldLike = Union[CongruenceSpec, VelocityField]
 class KinematicSample:
     """Velocity, acceleration and vorticity data at one event.
 
-    kinematic_sample gives one wherever the stencil fits and every value
-    in it is finite. For tt and mtt at c = 1 that ends at rapidity about
-    237, where w_ab ~ e^{3 lambda} / 8 overflows (lower for larger c);
-    vorticity_scalar holds there up to about 353.
+    kinematic_sample gives one, from 5 field evaluations for a built-in
+    congruence and 17 for a user field, wherever the stencil fits and
+    every value in it is finite. For tt and mtt at c = 1 that ends at
+    rapidity about 237, where w_ab ~ e^{3 lambda} / 8 overflows (lower for
+    larger c); vorticity_scalar holds there up to about 353.
     """
 
     event: Event
@@ -150,16 +151,25 @@ class _Jet(NamedTuple):
 
 
 def _field_rows(spec: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
-    """u^a at each row of an (n, 4) coordinate array.
-
-    A user VelocityField is called once per row.
-    """
+    """u^a at each row of an (n, 4) array; a user field is called per row."""
     if isinstance(spec, VelocityField):
         def u_rows(x: np.ndarray) -> np.ndarray:
             return np.array([spec.u(Event(*row)) for row in x.tolist()], dtype=float)
 
         return u_rows
     return partial(_u_rows, spec=spec)
+
+
+def _axes(fields: Iterable[FieldLike]) -> tuple[int, ...]:
+    """The axes a pass over fields is differenced along (module docstring)."""
+    return _ALL_AXES if any(isinstance(f, VelocityField) for f in fields) else (RHO,)
+
+
+@cache
+def _offsets(axes: tuple[int, ...]) -> np.ndarray:
+    """Row offsets in steps: 4 per axis, then 0 (eye * offset: others +-0.0)."""
+    steps = (np.eye(4)[list(axes), None, :] * _RICHARDSON[:, None]).reshape(-1, 4)
+    return np.vstack([steps, np.zeros((1, 4))])
 
 
 def _step(rho: np.ndarray) -> np.ndarray:
@@ -195,26 +205,31 @@ def _guard_stencil(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> None:
     )
 
 
-def _fd_matrix(fn, x: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _fd_matrix(fn, x: np.ndarray, h: np.ndarray,
+               axes: tuple[int, ...] = _ALL_AXES) -> tuple[np.ndarray, np.ndarray]:
     """D[n, a, b] = d f_a / d x^b at each row of x, an (n, 4) coordinate array,
     and f at the rows of x.
 
-    h holds one step per row. fn maps (m, 4) coordinate rows to (m, 4)
-    values and is called once, on _STENCIL_ROWS rows per event of x in
-    turn: its stencil (+-h and +-h/2 along each axis in turn), then the
-    event itself. The rows of events a to b are thus the one slice
-    [_STENCIL_ROWS * a : _STENCIL_ROWS * b]. One Richardson level combines
-    the central differences at h and h/2.
+    h holds one step per row; axes are adjacent, in increasing order. fn
+    maps (m, 4) coordinates to (m, 4) values and is called once, on k + 1
+    = 4 len(axes) + 1 rows per event of x in turn: its stencil (+-h and
+    +-h/2 along each of axes in turn), then the event. One Richardson level
+    combines the differences at h and h/2. A column b not in axes is +0.0:
+    fn must not depend on x^b.
     """
-    n = len(x)
-    # adding +-0.0 to the other coordinates leaves them bit-identical
-    y = x[:, None, :] + h[:, None, None] * _OFFSETS
-    y[:, 16] = x
-    values = fn(y.reshape(-1, 4)).reshape(n, _STENCIL_ROWS, 4)
-    f = values[:, :16].reshape(n, 4, 4, 4)
+    n, k = len(x), 4 * len(axes)
+    # adding +-0.0 keeps the other coordinates' values (a -0.0 may turn +0.0)
+    y = x[:, None, :] + h[:, None, None] * _offsets(axes)
+    y[:, k] = x
+    values = fn(y.reshape(-1, 4)).reshape(n, k + 1, 4)
+    f = values[:, :k].reshape(n, len(axes), 4, 4)
     # the central differences at h and h / 2: 2 * (h / 2) is h exactly
     d = (f[:, :, 0::2] - f[:, :, 1::2]) / (h[:, None, None, None] * _SPANS)
-    return ((4.0 * d[:, :, 1] - d[:, :, 0]) / 3.0).transpose(0, 2, 1), values[:, 16]
+    du = (4.0 * d[:, :, 1] - d[:, :, 0]) / 3.0
+    if k < 16:  # +0.0 in the columns of the axes not differenced
+        du, differenced = np.zeros((n, 4, 4)), du
+        du[:, axes[0]:axes[-1] + 1] = differenced
+    return du.transpose(0, 2, 1), values[:, k]
 
 
 def _finite(values: np.ndarray) -> np.ndarray:
@@ -230,15 +245,17 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
     groups holds (field, count) pairs, count > 0: the rows of x are the
     events of the first field, then those of the next, and so on. The
     fields share c. h holds one step per row; the stencils must fit (see
-    _stencil_fits). One call of _fd_matrix differences every row: the
-    metric is evaluated once on all its rows, and each field once on its
-    own slice of them. u is u_low / g_a, so u_low is exactly the lowered
-    field that was differenced. Nothing is checked for overflow here.
+    _stencil_fits). One call of _fd_matrix differences every row (_axes):
+    the metric is evaluated once on all its rows, and each field once on
+    its own slice of them. u is u_low / g_a, so u_low is exactly the
+    lowered field that was differenced. Nothing is checked for overflow.
     """
     c = groups[0][0].c
+    axes = _axes(field for field, _ in groups)
+    per_event = 4 * len(axes) + 1
     slices, start = [], 0
     for field, count in groups:
-        stop = start + _STENCIL_ROWS * count
+        stop = start + per_event * count
         slices.append((_field_rows(field), slice(start, stop)))
         start = stop
     g = None
@@ -250,9 +267,9 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
             return g * slices[0][0](y)
         return g * np.concatenate([u_rows(y[rows]) for u_rows, rows in slices])
 
-    du, u_low = _fd_matrix(lowered, x, h)
+    du, u_low = _fd_matrix(lowered, x, h, axes)
     # the metric at the events: the last of each event's rows
-    g = g.reshape(len(x), _STENCIL_ROWS, 4)[:, 16]
+    g = g[per_event - 1::per_event]
     return _Jet(x[:, 1], c, u_low / g, g, u_low, du)
 
 
@@ -325,16 +342,17 @@ def _quiet(fn):
 
 
 @_quiet
-def _scalar_rows(fields: Sequence[FieldLike],
-                 xs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Vorticity scalar at each row of xs[k], an (n_k, 4) coordinate array,
-    for the field fields[k]; the fields share c.
+def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
+                 scale: float = 1.0) -> list[np.ndarray]:
+    """Vorticity scalar, times scale, at each row of xs[k], an (n_k, 4)
+    coordinate array, for the field fields[k]; the fields share c.
 
     A row is nan where its stencil does not fit (off the chart, or across
-    the gal light cylinder) or where a value is not finite. The rows that
-    fit, of every field in turn, are differenced in passes of at most
-    _PASS events, one _fd_matrix call each, in which each field is called
-    once on its rows in the pass. A row's bits do not depend on its pass.
+    the gal light cylinder) or where a value, the scaled scalar among
+    them, is not finite. The rows that fit, of every field in turn, are
+    differenced in passes of at most _PASS events, one _fd_matrix call
+    each, in which each field is called once on its rows in the pass. A
+    row's bits do not depend on its pass.
     """
     if any(field.c != fields[0].c for field in fields):
         raise ValueError("fields differenced together must share c")
@@ -360,7 +378,7 @@ def _scalar_rows(fields: Sequence[FieldLike],
                 groups.append((field, n))
             first += count
         jet = _jet(groups, x[a:b], h[a:b])
-        w = _norm_rows(jet, _eps_contract(jet, jet.du))
+        w = _norm_rows(jet, _eps_contract(jet, jet.du)) * scale
         finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(w)
         scalar[a:b] = np.where(finite, w, np.nan)
     out = np.full(len(fits), np.nan)
@@ -389,7 +407,8 @@ def vorticity_scalar(spec: FieldLike, event: Event) -> float:
 def kinematic_sample(spec: FieldLike, event: Event) -> KinematicSample:
     """Evaluate the full kinematic state of the congruence at one event.
 
-    One Jacobian serves every field of the sample (17 field evaluations).
+    One Jacobian serves every field of the sample: 5 field evaluations
+    for a built-in congruence, 17 for a user VelocityField.
     """
     jet = _at(spec, event)
     a_low = _acceleration_low(jet)

@@ -456,6 +456,20 @@ class TestInputsOutsideArgv:
         assert err == (f"rotframes: error: {cli.PERTURB_ENV} must be a finite number, "
                        f"got {value!r}\n")
 
+    def test_overflowing_perturbation_marks_rows(self, capsys, monkeypatch):
+        # (1 + 1e308) times the tt scalar 51.9 leaves the float range: the
+        # rows are marked, with no numpy warning
+        monkeypatch.setenv(cli.PERTURB_ENV, "1e308")
+        code, out, err = run(capsys, ["compare", "--rho", "1", "--omega", "3", "--self-check"])
+        assert (code, err) == (0, "")
+        assert [row["status"] for row in parse_csv(out)[1]] == [
+            "light_cylinder", "domain_error", "domain_error"]
+        code, out, err = run(capsys, ["precess", "--kind", "tt", "--rho", "1", "--omega", "3",
+                                      "--self-check"])
+        assert (code, out) == (3, "")
+        assert err == ("rotframes: point not numerically evaluable: "
+                       "rho = 1.0, omega = 3.0, c = 1.0\n")
+
     def test_blank_perturbation_is_zero(self, capsys, monkeypatch):
         argv = self.COMMANDS[2] + ["--self-check"]
         unset = run(capsys, argv)
@@ -675,10 +689,10 @@ class TestModelReuse:
         kinds, sizes = [], []
         real = cli._scalar_rows
 
-        def spy(fields, xs):
+        def spy(fields, xs, *scale):
             kinds.append(tuple(field.kind for field in fields))
             sizes.append(tuple(len(x) for x in xs))
-            return real(fields, xs)
+            return real(fields, xs, *scale)
 
         monkeypatch.setattr(cli, "_scalar_rows", spy)
         return kinds, sizes
@@ -1052,9 +1066,12 @@ class _CliFuzz:
     SWEEP_KINDS = (["gal", "tt", "mtt", "gal,tt,mtt", "tt,gal"], ["warp", "", ","])
     MAPS = (["gal", "tt"], ["mtt"])
     DIRECTIONS = (["fwd", "inv"], ["up"])
-    # share of the --self-check draws run with the fault injection on, which
-    # makes every finite self-check row fail
-    PERTURBED_SHARE = 0.25
+    # what each draw takes from outside argv, with its weight: the fault
+    # injection (unset; 1e-3, which makes every finite self-check row fail;
+    # 1e308, which overflows the scalars; a bad string; inf) and the --out
+    # target (stdout, a file, a missing directory, a directory)
+    PERTURBS = ([None, "1e-3", "1e308", "abc", "inf"], [0.6, 0.2, 0.1, 0.05, 0.05])
+    OUTS = ([None, "file", "missing", "dir"], [0.7, 0.1, 0.1, 0.1])
 
     def _real(self, rng, signed=False):
         u = rng.random()
@@ -1117,29 +1134,50 @@ class _CliFuzz:
                 argv += extra
         return argv
 
-    def _draws(self, capsys):
-        """(argv, exit code, stdout) of each draw, after the checks all draws share."""
+    def _draws(self, capsys, tmp_path):
+        """(argv, exit code, output) of each draw, after the checks all draws
+        share; the output is stdout, or the --out file's text."""
         rng = np.random.default_rng(self.SEED)
-        # a second stream picks the perturbed draws, so the argv stream
+        # a second stream draws what lies outside argv, so the argv stream
         # stays the same
-        perturbed = np.random.default_rng(self.SEED + 1)
+        outside = np.random.default_rng(self.SEED + 1)
+        file = tmp_path / "out.txt"
+        targets = {None: None, "file": file, "missing": tmp_path / "missing" / "out.txt",
+                   "dir": tmp_path}
         for _ in range(self.DRAWS):
             argv = self._argv(rng)
+            perturb = outside.choice(self.PERTURBS[0], p=self.PERTURBS[1])
+            target = targets[outside.choice(self.OUTS[0], p=self.OUTS[1])]
             with warnings.catch_warnings(), pytest.MonkeyPatch.context() as mp:
                 warnings.simplefilter("error")
-                if "--self-check" in argv and perturbed.random() < self.PERTURBED_SHARE:
-                    mp.setenv(cli.PERTURB_ENV, "1e-3")
-                code, out, err = run(capsys, argv)
-            assert code in (0, 2, 3, 64), argv
-            assert "Traceback" not in err, argv
+                if perturb is not None:
+                    mp.setenv(cli.PERTURB_ENV, perturb)
+                code, out, err = run(capsys, argv + ([] if target is None
+                                                     else ["--out", str(target)]))
+            where = (argv, perturb, target)
+            assert code in (0, 2, 3, 64), where
+            assert "Traceback" not in err, where
+            # one line of diagnosis, none on success; a parser error prints
+            # the usage first
+            if code == 0:
+                assert err == "", where
+            elif code == 64:
+                assert err.endswith("\n") and err.count("error:") == 1, where
+            else:
+                assert err.endswith("\n") and err.count("\n") == 1, where
             if code in (3, 64):
-                assert out == "", argv
+                assert out == "", where
+            if target == file:
+                assert out == "" and file.exists() == (code in (0, 2)), where
+                if code in (0, 2):
+                    out = file.read_text()
+                    file.unlink()
             yield argv, code, out
 
 
 class TestFuzz(_CliFuzz):
-    def test_every_draw_ends_in_a_documented_exit(self, capsys):
-        codes = {code for _, code, _ in self._draws(capsys)}
+    def test_every_draw_ends_in_a_documented_exit(self, capsys, tmp_path):
+        codes = {code for _, code, _ in self._draws(capsys, tmp_path)}
         # this seed reaches every documented exit
         assert codes == {0, 2, 3, 64}
 
@@ -1150,9 +1188,9 @@ class TestFuzzFloatRange(_CliFuzz):
     SEED = 20062
     EDGES = ["5e-324", "1e-310", "1e-300", "1.7e308"]
 
-    def test_no_ok_row_holds_a_non_finite_number(self, capsys):
+    def test_no_ok_row_holds_a_non_finite_number(self, capsys, tmp_path):
         codes, ok_rows = set(), 0
-        for argv, code, out in self._draws(capsys):
+        for argv, code, out in self._draws(capsys, tmp_path):
             codes.add(code)
             if code not in (0, 2):
                 continue

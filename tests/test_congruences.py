@@ -255,17 +255,18 @@ class TestFourVelocity:
 
 
 def _stencil(rhos, seed=0):
-    """The rows of a difference pass over events at the radii rhos, laid out
-    as kinematics._fd_matrix lays them out: 17 rows per event."""
-    from rotframes.kinematics import _OFFSETS, _STENCIL_ROWS, _step
+    """The rows of a difference pass along every axis over events at the
+    radii rhos, laid out as kinematics._fd_matrix lays them out: 17 rows
+    per event."""
+    from rotframes.kinematics import _ALL_AXES, _offsets, _step
 
     rng = np.random.default_rng(seed)
     rhos = np.asarray(rhos, dtype=float)
     x = np.column_stack([rng.normal(size=len(rhos)), rhos,
                          rng.normal(size=len(rhos)), rng.normal(size=len(rhos))])
     h = _step(rhos)
-    y = x[:, None, :] + h[:, None, None] * _OFFSETS
-    y[:, _STENCIL_ROWS - 1] = x
+    y = x[:, None, :] + h[:, None, None] * _offsets(_ALL_AXES)
+    y[:, 16] = x
     return y.reshape(-1, 4)
 
 
@@ -288,8 +289,8 @@ def _assert_rows_match_single_events(coords, spec):
     return rows, overflowed
 
 
-class TestRunsOfEqualRadii:
-    """tt and mtt evaluate cosh and sinh once per run of equal radii."""
+class TestStencilRows:
+    """_u_rows on the rows of difference passes, against _u_components."""
 
     @pytest.mark.parametrize("events", [1, 4, 5, 9])
     @pytest.mark.parametrize("kind,omega,c", [
@@ -304,10 +305,8 @@ class TestRunsOfEqualRadii:
         assert overflowed == []
 
     def test_radii_that_recur_apart(self):
-        from rotframes.congruences import _RUNS_FROM
-
         # a radius recurs in several runs that are not next to each other
-        rhos = np.tile([1.0, 2.5, 1.0, 1.0, 0.3, 2.5, 1.0], _RUNS_FROM)
+        rhos = np.tile([1.0, 2.5, 1.0, 1.0, 0.3, 2.5, 1.0], 85)
         coords = np.column_stack([np.arange(len(rhos)) * 0.1, rhos,
                                   np.zeros(len(rhos)), np.ones(len(rhos))])
         for kind, omega in (("tt", 0.8), ("mtt", 1.7)):
@@ -338,8 +337,10 @@ class TestRunsOfEqualRadii:
         assert rows[33, 0] == pytest.approx(float(cosh), rel=4e-15, abs=0.0)
 
     def test_calls_per_event(self, monkeypatch):
-        from rotframes import congruences
-        from rotframes.congruences import _RUNS_FROM, _u_rows
+        # a tt event takes 5 rows (its stencil along rho, then the event),
+        # so 5 calls each of cosh and sinh, in one _scalar_rows pass; in a
+        # pass with a user field every event takes 17 rows
+        from rotframes.kinematics import VelocityField, _scalar_rows
 
         calls = {"cosh": 0, "sinh": 0}
 
@@ -352,21 +353,25 @@ class TestRunsOfEqualRadii:
 
             return call
 
+        events = 6
+        x = np.zeros((events, 4))
+        x[:, 1] = np.linspace(0.5, 2.0, events)
+        spec = CongruenceSpec("tt", 0.6)
+        gal = CongruenceSpec("gal", 0.3)
+        seen = []
+
+        def u_fn(e):
+            seen.append(e)
+            return four_velocity(e, gal).components  # calls no cosh nor sinh
+
         monkeypatch.setattr(math, "cosh", counted("cosh"))
         monkeypatch.setattr(math, "sinh", counted("sinh"))
-        spec = CongruenceSpec("tt", 0.6)
-        events = -(-_RUNS_FROM // 17)  # the fewest events that take the runs
-        _u_rows(_stencil(np.linspace(0.5, 2.0, events)), spec)
-        assert calls == {"cosh": 6 * events, "sinh": 6 * events}
-        # below _RUNS_FROM every row is evaluated; with the runs taken from
-        # the first row on, a one-event stencil makes 6 calls of each
+        _scalar_rows([spec], [x])
+        assert calls == {"cosh": 5 * events, "sinh": 5 * events}
         calls.update(cosh=0, sinh=0)
-        _u_rows(_stencil([1.3]), spec)
-        assert calls == {"cosh": 17, "sinh": 17}
-        monkeypatch.setattr(congruences, "_RUNS_FROM", 1)
-        calls.update(cosh=0, sinh=0)
-        _u_rows(_stencil([1.3]), spec)
-        assert calls == {"cosh": 6, "sinh": 6}
+        _scalar_rows([spec, VelocityField(u_fn)], [x, x])
+        assert calls == {"cosh": 17 * events, "sinh": 17 * events}
+        assert len(seen) == 17 * events
 
 
 class TestSpeedAndTiming:

@@ -8,6 +8,7 @@ from rotframes import (
     CongruenceSpec,
     DomainError,
     Event,
+    KinematicSample,
     LightCylinderError,
     VelocityField,
     four_velocity,
@@ -466,11 +467,11 @@ class TestStencil:
     """The rows _fd_matrix hands to the field, bit for bit."""
 
     @staticmethod
-    def _layout(x, h):
+    def _layout(x, h, axes=(T, RHO, PHI, Z)):
         # +-h, then +-h/2, along each axis in turn, then the event itself
         offsets = h[:, None] * np.array([1.0, -1.0, 0.5, -0.5])
-        stencil = (x[:, None, None, :] + np.eye(4)[None, :, None, :]
-                   * offsets[:, None, :, None]).reshape(len(x), 16, 4)
+        stencil = (x[:, None, None, :] + np.eye(4)[None, list(axes), None, :]
+                   * offsets[:, None, :, None]).reshape(len(x), 4 * len(axes), 4)
         return np.concatenate([stencil, x[:, None, :]], axis=1).reshape(-1, 4)
 
     def test_rows_match_the_documented_layout(self):
@@ -494,6 +495,28 @@ class TestStencil:
         assert f.tobytes() == np.cos(x).tobytes()
         assert d.shape == (len(x), 4, 4)
 
+    def test_built_in_field_sees_the_rho_layout(self, monkeypatch):
+        from rotframes import kinematics
+        from rotframes.kinematics import _step
+
+        seen = []
+        real = kinematics._u_rows
+
+        def spy(y, spec):
+            seen.append(y.copy())
+            return real(y, spec)
+
+        monkeypatch.setattr(kinematics, "_u_rows", spy)
+        e = Event(-0.0, 1.1, -0.0, 2.5)
+        s = kinematic_sample(CongruenceSpec("tt", 0.7), e)
+        x = e.coords()[None, :]
+        (rows,) = seen
+        assert rows.tobytes() == self._layout(x, _step(x[:, 1]), (RHO,)).tobytes()
+        # t, phi and z columns of the Jacobian are +0.0 exactly
+        jet = _at(CongruenceSpec("tt", 0.7), e)
+        assert jet.du[0][:, [T, PHI, Z]].tobytes() == bytes(8 * 12)
+        assert s.vorticity_scalar > 0.0
+
     def test_user_field_sees_the_layout(self):
         from rotframes.kinematics import _step
 
@@ -510,6 +533,131 @@ class TestStencil:
         assert np.array(seen).tobytes() == self._layout(x, _step(x[:, 1])).tobytes()
 
 
+def _outcome(fn, *args):
+    """The bytes of each array fn returns, or its exception's type and text."""
+    try:
+        result = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    if isinstance(result, KinematicSample):
+        result = [np.asarray(getattr(result, name).components
+                             if name in ("u", "u_dot", "vorticity_vector")
+                             else getattr(result, name))
+                  for name in ("u", "u_dot", "vorticity_tensor", "vorticity_vector",
+                               "vorticity_scalar")]
+    return [np.asarray(a).tobytes() for a in result]
+
+
+class TestRadialStencil:
+    """A built-in field differenced along rho alone (5 rows per event)
+    against the same field differenced along every axis (17 rows, as a user
+    field is), bit for bit: the Jacobian, _scalar_rows and kinematic_sample,
+    over the float range and at each edge of the domain."""
+
+    SEED = 2022
+    DRAWS = 120  # per kind
+
+    @staticmethod
+    def _draws(kind, rng, count):
+        """(spec, event) pairs: ordinary points; gal with the event or the
+        stencil's edge within 1e-5 of the light cylinder; rapidity near 355
+        and 710; a subnormal rho omega; c near 1e-160 and 1e150, and c^2
+        past the float range."""
+        for _ in range(count):
+            c = [rng.lognormal(0.0, 1.0), 1e-160 * rng.uniform(0.5, 2.0),
+                 1e150 * rng.uniform(0.5, 2.0), 10.0 ** rng.uniform(155.0, 300.0),
+                 ][rng.choice(4, p=[0.4, 0.2, 0.2, 0.2])]
+            rho = 10.0 ** rng.uniform(-3.0, 3.0) * (c if rng.random() < 0.5 else 1.0)
+            near = 10.0 ** rng.uniform(-12.0, -5.0)
+            if kind == "gal":
+                lam = [rng.uniform(0.0, 1.0), 1.0 - near,
+                       (1.0 - near) * rho / (rho + 1e-4 * max(rho, 1.0)), None]
+            else:
+                lam = [rng.lognormal(0.0, 1.0), 355.0 + rng.uniform(-1.0, 1.0),
+                       710.0 + rng.uniform(-1.0, 1.0), None]
+            lam = lam[rng.choice(4, p=[0.4, 0.2, 0.2, 0.2])]
+            if lam is None:
+                omega = 10.0 ** rng.uniform(-322.0, -308.5) / rho
+            else:
+                omega = lam * c / rho
+            if 0.0 <= omega < math.inf:
+                yield (CongruenceSpec(kind, omega, c),
+                       Event(rng.normal(), rho, rng.normal(), rng.normal()))
+
+    @staticmethod
+    def _every_axis(monkeypatch):
+        from rotframes import kinematics
+
+        monkeypatch.setattr(kinematics, "_axes", lambda fields: kinematics._ALL_AXES)
+
+    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
+    def test_both_layouts_agree_bitwise(self, kind, monkeypatch):
+        from rotframes.congruences import _u_rows
+        from rotframes.kinematics import (
+            _ALL_AXES,
+            _fd_matrix,
+            _scalar_rows,
+            _stencil_fits,
+            _step,
+        )
+
+        rng = np.random.default_rng([self.SEED, len(kind)])
+        draws = list(self._draws(kind, rng, self.DRAWS))
+        outcomes = {}
+        for layout in ("rho", "all"):
+            if layout == "all":
+                self._every_axis(monkeypatch)
+            outcomes[layout] = [
+                (_outcome(kinematic_sample, spec, e),
+                 _outcome(_scalar_rows, [spec],
+                          [np.array([e.coords(), e.coords() * (1.0, 1.0 - 2e-6, 1.0, 1.0),
+                                     e.coords() * (1.0, 1.0 + 2e-6, 1.0, 1.0)])]))
+                for spec, e in draws]
+        assert outcomes["rho"] == outcomes["all"]
+        # the Jacobian itself, where the stencil fits: equal rho columns, and
+        # +0.0 in the others, which every axis gives too wherever the event's
+        # values are finite
+        finite = []
+        for spec, e in draws:
+            def lowered(y, spec=spec):
+                return metric_diag(y[:, 1], spec.c) * _u_rows(y, spec)
+
+            x = e.coords()[None, :]
+            h = _step(x[:, 1])
+            if not _stencil_fits(spec, x[:, 1], h)[0]:
+                continue
+            with np.errstate(all="ignore"):
+                d1, f1 = _fd_matrix(lowered, x, h, (RHO,))
+                d4, f4 = _fd_matrix(lowered, x, h, _ALL_AXES)
+            assert f1.tobytes() == f4.tobytes()
+            assert d1[..., RHO].tobytes() == d4[..., RHO].tobytes()
+            others = [T, PHI, Z]
+            assert d1[..., others].tobytes() == bytes(8 * 12)
+            finite.append(bool(np.isfinite(f4).all()))
+            if finite[-1]:
+                assert d4[..., others].tobytes() == bytes(8 * 12)
+        # the draws reach every outcome
+        assert 0 < sum(finite) < len(finite)
+        assert 0 < sum(isinstance(s, list) for s, _ in outcomes["rho"]) < len(draws)
+
+    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
+    def test_rows_in_a_pass_with_a_user_field(self, kind):
+        # the built-in rows of a pass that holds a user field take 17 rows
+        # each, and equal the rows of a pass of their own
+        from rotframes.kinematics import _scalar_rows
+
+        rng = np.random.default_rng([self.SEED, 7, len(kind)])
+        for spec, e in self._draws(kind, rng, 40):
+            x = np.array([e.coords(), e.coords() * (1.0, 1.0 - 2e-6, 1.0, 1.0)])
+            user = _user(CongruenceSpec("gal", 0.0, spec.c))  # never raises
+            xu = rng.normal(size=(2, 4))
+            xu[:, 1] = rng.uniform(0.5, 2.0, 2)
+            (alone,) = _scalar_rows([spec], [x])
+            before, _ = _scalar_rows([spec, user], [x, xu])
+            _, after = _scalar_rows([user, spec], [xu, x])
+            assert alone.tobytes() == before.tobytes() == after.tobytes()
+
+
 class TestScalarRows:
     """kinematics._scalar_rows, the batch routine behind the CLI tables."""
 
@@ -520,9 +668,9 @@ class TestScalarRows:
         sizes = []
         real = kinematics._fd_matrix
 
-        def counted(fn, x, h):
+        def counted(fn, x, h, *axes):
             sizes.append(len(x))
-            return real(fn, x, h)
+            return real(fn, x, h, *axes)
 
         monkeypatch.setattr(kinematics, "_fd_matrix", counted)
         return sizes
