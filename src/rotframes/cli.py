@@ -135,7 +135,6 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
-        self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
@@ -402,6 +401,12 @@ def _parse_kinds(raw: str) -> list[str]:
     return kinds
 
 
+def _params(args, command: str, **fields) -> dict:
+    """The JSON params of command: the flags every command shares, then fields."""
+    return {"command": command, "omega": args.omega, "c": args.c,
+            "format": args.format, **fields}
+
+
 def cmd_omega(args) -> int:
     kinds = _parse_kinds(args.kind)
     if not args.rho_min < args.rho_max:
@@ -412,30 +417,15 @@ def cmd_omega(args) -> int:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
     sections = compute_rows(kinds, grid, args.omega, args.c, _perturbation())
-    params = {
-        "command": "omega",
-        "kind": kinds,
-        "rho_min": args.rho_min,
-        "rho_max": args.rho_max,
-        "steps": args.steps,
-        "omega": args.omega,
-        "c": args.c,
-        "format": args.format,
-    }
+    params = _params(args, "omega", kind=kinds, rho_min=args.rho_min,
+                     rho_max=args.rho_max, steps=args.steps)
     return _emit_report(args, params, sections)
 
 
 def cmd_compare(args) -> int:
     sections = compute_rows(list(KINDS), [args.rho], args.omega, args.c,
                             _perturbation())
-    params = {
-        "command": "compare",
-        "rho": args.rho,
-        "omega": args.omega,
-        "c": args.c,
-        "format": args.format,
-    }
-    return _emit_report(args, params, sections)
+    return _emit_report(args, _params(args, "compare", rho=args.rho), sections)
 
 
 def cmd_precess(args) -> int:
@@ -452,15 +442,8 @@ def cmd_precess(args) -> int:
             f"point not numerically evaluable: rho = {args.rho}, "
             f"omega = {args.omega}, c = {args.c}"
         )
-    params = {
-        "command": "precess",
-        "kind": args.kind,
-        "rho": args.rho,
-        "omega": args.omega,
-        "c": args.c,
-        "format": args.format,
-        "fw_check": args.fw_check,
-    }
+    params = _params(args, "precess", kind=args.kind, rho=args.rho,
+                     fw_check=args.fw_check)
     names, values = ROW_FIELDS, row
     if args.fw_check is not None:
         try:
@@ -495,14 +478,7 @@ def cmd_transform(args) -> int:
         ("tt", "inv"): tt_inverse,
     }
     out = maps[(args.map, args.direction)](event, spec)
-    params = {
-        "command": "transform",
-        "map": args.map,
-        "direction": args.direction,
-        "omega": args.omega,
-        "c": args.c,
-        "format": args.format,
-    }
+    params = _params(args, "transform", map=args.map, direction=args.direction)
     _emit(args, params, ["t", "rho", "phi", "z"],
           [(None, [[out.t, out.rho, out.phi, out.z]])])
     return EXIT_OK

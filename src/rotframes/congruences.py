@@ -26,7 +26,9 @@ for the four-velocity, which depends on rho alone (so a difference pass
 takes 5 rows per event, see kinematics), and _fixed_point_rows, for the
 columns of a precession report, each with the scalar bits on its rows.
 lambda = rho omega / c has one rule, _rapidity, and _rapidity_rows
-applies it to an array.
+applies it to an array. cosh and sinh of lambda are math's, not numpy's,
+and give inf where they overflow: _cosh_sinh is that rule for one lambda
+and _cosh_sinh_rows for a list of them.
 
 All operations are pure functions; a CongruenceSpec is immutable, so
 parameter sweeps can evaluate concurrently without coordination.
@@ -155,11 +157,33 @@ def _overflow(rho: float, spec: CongruenceSpec) -> DomainError:
     )
 
 
-def _tt_apply(e: Event, spec: CongruenceSpec, lam: float) -> Event:
+def _cosh_sinh(lam: float) -> tuple[float, float]:
+    """math.cosh(lam) and math.sinh(lam), both inf where they overflow."""
     try:
-        ch, sh = math.cosh(lam), math.sinh(lam)
+        return math.cosh(lam), math.sinh(lam)
     except OverflowError:
-        ch = sh = math.inf  # phi and t come out non-finite below
+        return math.inf, math.inf
+
+
+def _cosh_sinh_rows(lams: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """_cosh_sinh at each rapidity of lams, as two arrays, bit for bit.
+
+    math's cosh and sinh are called from Python: numpy's own differ from
+    them in the last bit on a fifth to a quarter of arguments in [0, 3],
+    which the 1/step of a difference quotient turns into ~1e-12.
+    """
+    n = len(lams)
+    try:
+        return (np.fromiter(map(math.cosh, lams), float, n),
+                np.fromiter(map(math.sinh, lams), float, n))
+    except OverflowError:
+        # rare: redo the rows, an overflowing one as inf
+        ch, sh = zip(*map(_cosh_sinh, lams))
+        return np.array(ch), np.array(sh)
+
+
+def _tt_apply(e: Event, spec: CongruenceSpec, lam: float) -> Event:
+    ch, sh = _cosh_sinh(lam)  # at inf, phi and t come out non-finite below
     phi = e.phi * ch - e.t * (spec.c / e.rho) * sh
     if not math.isfinite(phi):
         # c / rho leaves the float range below rho = c / 1.8e308, where lam
@@ -190,24 +214,6 @@ def tt_inverse(e: Event, spec: CongruenceSpec) -> Event:
     return _tt_apply(e, spec, -rapidity(e.rho, spec))
 
 
-# _u_rows calls math's cosh and sinh from Python on a list of rapidities:
-# numpy's own differ from them in the last bit on a fifth to a quarter of
-# arguments in [0, 3], which the 1/step of a difference quotient turns into
-# ~1e-12
-
-
-def _or_inf(fn):
-    """fn, giving inf where it overflows (for lam >= 0)."""
-
-    def value(lam: float) -> float:
-        try:
-            return fn(lam)
-        except OverflowError:
-            return math.inf
-
-    return value
-
-
 def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
     """Contravariant four-velocity at each row of x, an (n, 4) coordinate array.
 
@@ -219,8 +225,8 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
     overflow warnings are left to the caller.
 
     Only rho is read, so kinematics differences a built-in field along rho
-    alone: 5 rows per event, where a user field takes 17. tt and mtt call
-    cosh and sinh once per row.
+    alone: 5 rows per event, where a user field takes 17. tt and mtt take
+    cosh and sinh once per row, from _cosh_sinh_rows.
     """
     rho = x[:, 1]
     rho_min = rho.min(initial=math.inf)
@@ -234,16 +240,8 @@ def _u_rows(x: np.ndarray, spec: CongruenceSpec) -> np.ndarray:
         u[:, 2] = u[:, 0] * spec.omega
         return u
     omega, c = spec.omega, spec.c
-    lam = _rapidity_rows(rho, rho_min, omega, c).tolist()
-    n = len(lam)
-    u = np.zeros((n, 4))
-    try:
-        u[:, 0] = np.fromiter(map(math.cosh, lam), float, n)
-        u[:, 2] = np.fromiter(map(math.sinh, lam), float, n)
-    except OverflowError:
-        # rare: redo the rows with overflowing ones set to inf
-        u[:, 0] = np.fromiter(map(_or_inf(math.cosh), lam), float, n)
-        u[:, 2] = np.fromiter(map(_or_inf(math.sinh), lam), float, n)
+    u = np.zeros(x.shape)
+    u[:, 0], u[:, 2] = _cosh_sinh_rows(_rapidity_rows(rho, rho_min, omega, c).tolist())
     u[:, 2] *= c / rho
     return u
 
@@ -295,10 +293,7 @@ def _fixed_point(rho: float, spec: CongruenceSpec) -> _FixedPoint:
         return _FixedPoint(u_t, u_t * spec.omega, spec.omega * rho, dtau_dt,
                            spec.omega / gap)
     lam = _rapidity(rho, spec.omega, spec.c)
-    try:
-        ch, sh = math.cosh(lam), math.sinh(lam)
-    except OverflowError:
-        ch = sh = math.inf
+    ch, sh = _cosh_sinh(lam)
     # past lam = 710.5 (or at lam = inf, where cosh does not raise) u^t is
     # out of range, although 1 / cosh(lam) would still be a float
     dtau_dt = 1.0 / ch if ch < math.inf else math.inf
@@ -383,11 +378,11 @@ def _fixed_point_rows(rho: np.ndarray, spec: CongruenceSpec) -> _FixedPointRows:
     its ordinary case and every value is finite; its vorticity is then
     positive. There its vorticity, speed, dtau_dt and proper period have
     the bits of the scalar path: the same IEEE operations run in the same
-    order, lambda comes from _rapidity_rows, and cosh, sinh and tanh from
-    math (see _u_rows). The other rows hold no meaningful value, as the
-    scalar path raises there or takes a fallback branch; light_cylinder
-    marks the gal rows among them where it raises LightCylinderError.
-    numpy's warnings are left to the caller.
+    order, lambda comes from _rapidity_rows, cosh and sinh from
+    _cosh_sinh_rows, and tanh from math. The other rows hold no meaningful
+    value, as the scalar path raises there or takes a fallback branch;
+    light_cylinder marks the gal rows among them where it raises
+    LightCylinderError. numpy's warnings are left to the caller.
     """
     omega, c = spec.omega, spec.c
     if spec.kind == GAL:
@@ -402,13 +397,7 @@ def _fixed_point_rows(rho: np.ndarray, spec: CongruenceSpec) -> _FixedPointRows:
                                plain, light_cylinder)
     lam = _rapidity_rows(rho, rho.min(initial=math.inf), omega, c)
     lams, n = lam.tolist(), len(lam)
-    try:
-        ch = np.fromiter(map(math.cosh, lams), float, n)
-        sh = np.fromiter(map(math.sinh, lams), float, n)
-    except OverflowError:
-        # rare: those rows are not plain
-        ch = np.fromiter(map(_or_inf(math.cosh), lams), float, n)
-        sh = np.fromiter(map(_or_inf(math.sinh), lams), float, n)
+    ch, sh = _cosh_sinh_rows(lams)  # an overflowing row is not plain
     speed = c * np.fromiter(map(math.tanh, lams), float, n)
     vorticity = c / (2.0 * rho) * (sh * ch + lam)
     two_pi_rho = 2.0 * math.pi * rho

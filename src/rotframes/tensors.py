@@ -80,8 +80,10 @@ def metric_diag(rho, c: float) -> np.ndarray:
     if not c > 0.0:
         raise DomainError(f"c must be positive, got {c}")
     r = np.asarray(rho, dtype=float)
-    if not (r > 0.0).all():
-        raise DomainError(f"rho must be positive, got {rho}")
+    positive = r > 0.0
+    if not positive.all():
+        # name one radius: an array's repr can span lines
+        raise DomainError(f"rho must be positive, got {r[~positive][0]}")
     g = np.empty(r.shape + (4,))
     g[...] = (c * c, -1.0, 0.0, -1.0)
     g[..., 2] = -(r * r)

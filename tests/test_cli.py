@@ -143,8 +143,10 @@ class TestOmegaSweep:
         )
 
     def test_usage_errors(self, capsys):
-        code, _, _ = run(capsys, ["omega", "--bogus"])
+        code, _, err = run(capsys, ["omega", "--bogus"])
         assert code == 64
+        assert err == ("rotframes omega: error: the following arguments are required: "
+                       "--rho-min, --rho-max, --steps, --omega\n")
         code, _, err = run(
             capsys,
             ["omega", "--kind", "warp", "--omega", "1", "--rho-min", "1",
@@ -427,6 +429,29 @@ class TestTransform:
 
 def test_no_command_is_usage_error(capsys):
     assert main([]) == 64
+
+
+@pytest.mark.parametrize("argv, params", [
+    (["omega", "--kind", "gal,tt", "--omega", "0.5", "--rho-min", "0.5",
+      "--rho-max", "1.5", "--steps", "3", "--c", "2"],
+     {"command": "omega", "kind": ["gal", "tt"], "rho_min": 0.5, "rho_max": 1.5,
+      "steps": 3, "omega": 0.5, "c": 2.0, "format": "json"}),
+    (["compare", "--rho", "1", "--omega", "0.5"],
+     {"command": "compare", "rho": 1.0, "omega": 0.5, "c": 1.0, "format": "json"}),
+    (["precess", "--kind", "tt", "--rho", "1", "--omega", "0.5"],
+     {"command": "precess", "kind": "tt", "rho": 1.0, "omega": 0.5, "c": 1.0,
+      "format": "json", "fw_check": None}),
+    (["precess", "--kind", "gal", "--rho", "1", "--omega", "0.5", "--fw-check", "1000"],
+     {"command": "precess", "kind": "gal", "rho": 1.0, "omega": 0.5, "c": 1.0,
+      "format": "json", "fw_check": 1000}),
+    (["transform", "--map", "tt", "--direction", "inv", "--rho", "1", "--omega", "0"],
+     {"command": "transform", "map": "tt", "direction": "inv", "omega": 0.0, "c": 1.0,
+      "format": "json"}),
+])
+def test_json_params_of_each_command(capsys, argv, params):
+    code, out, _ = run(capsys, argv + ["--format", "json"])
+    assert code == 0
+    assert json.loads(out)["params"] == params
 
 
 def test_out_file_matches_stdout(tmp_path, capsys):
@@ -1157,14 +1182,13 @@ class _CliFuzz:
             where = (argv, perturb, target)
             assert code in (0, 2, 3, 64), where
             assert "Traceback" not in err, where
-            # one line of diagnosis, none on success; a parser error prints
-            # the usage first
+            # one line of diagnosis, none on success
             if code == 0:
                 assert err == "", where
-            elif code == 64:
-                assert err.endswith("\n") and err.count("error:") == 1, where
             else:
                 assert err.endswith("\n") and err.count("\n") == 1, where
+            if code == 64:
+                assert err.count("error:") == 1, where
             if code in (3, 64):
                 assert out == "", where
             if target == file:

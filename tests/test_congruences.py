@@ -305,7 +305,8 @@ class TestStencilRows:
         assert overflowed == []
 
     def test_radii_that_recur_apart(self):
-        # a radius recurs in several runs that are not next to each other
+        # a radius recurs at rows that are not next to each other; each
+        # row still equals _u_components of its own event bitwise
         rhos = np.tile([1.0, 2.5, 1.0, 1.0, 0.3, 2.5, 1.0], 85)
         coords = np.column_stack([np.arange(len(rhos)) * 0.1, rhos,
                                   np.zeros(len(rhos)), np.ones(len(rhos))])

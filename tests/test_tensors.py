@@ -27,6 +27,10 @@ def test_metric_rejects_bad_inputs():
         Event(0.0, -1.0, 0.0)
     with pytest.raises(DomainError):
         metric_diag(1.0, 0.0)
+    # an array names its first radius that is not positive, in one line
+    with pytest.raises(DomainError) as info:
+        metric_diag(np.linspace(-1, 1, 12), 1.0)
+    assert str(info.value) == "rho must be positive, got -1.0"
 
 
 @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0, 2.0, 10.0])
