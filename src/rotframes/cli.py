@@ -44,7 +44,11 @@ ROTFRAMES_SELF_CHECK_PERTURB), also with one line.
 Negative flag values may be written in exponent form (--t -1e-05), not
 only as plain decimals. The argument parser is built once per process, on
 the first main() call, and reused by every later call; build_parser()
-always returns a fresh one.
+always returns a fresh one. An argv whose first word is a subcommand name
+goes straight to that subcommand's parser, and the top parser reports
+only the arguments left over (_parse); any other argv takes the top
+parser's full parse. argparse writes every message either way, with the
+bytes a full parse gives.
 
 ROTFRAMES_SELF_CHECK_PERTURB, set to a finite number x, multiplies every
 numerically computed vorticity by (1 + x), a product past the float
@@ -60,6 +64,7 @@ import math
 import os
 import re
 import sys
+from functools import cache, partial
 from itertools import chain, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -263,6 +268,10 @@ def compute_row(kind: str, rho: float, omega: float, c: float,
 # the %-tuple small however long the table is
 _BLOCK = 512
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its overhead
+# json.dumps(..., indent=2, sort_keys=True) and json.dumps(..., separators=("\n", ":")),
+# each without building its encoder per call
+_JSON_HEAD = json.JSONEncoder(indent=2, sort_keys=True)
+_JSON_TOKENS = json.JSONEncoder(separators=("\n", ":"))
 
 
 def _blocks(rows: list, row_template: str, sep: str):
@@ -310,38 +319,45 @@ def _render_csv(header: str, sections: list) -> str:
     return "\n".join([header, *_section_texts(sections, _csv_body, str), ""])
 
 
+@cache
+def _json_row(field_names: tuple[str, ...], slotted: bool) -> tuple[str, itemgetter]:
+    """The key-sorted %-template of one JSON row of field_names, and the
+    getter of its cells in template order. The kind cell, field 0, of a
+    slotted table is left as a %s slot (see _section_texts)."""
+    order = sorted(range(len(field_names)), key=field_names.__getitem__)
+    row_template = "    {\n      " + ",\n      ".join(
+        _json_str(field_names[i]) + (": %%s" if slotted and i == 0 else ": %s")
+        for i in order) + "\n    }"
+    return row_template, itemgetter(*[i for i in order if i or not slotted])
+
+
+def _json_body(field_names: tuple[str, ...], rows: list, slotted: bool) -> str:
+    row_template, cells = _json_row(field_names, slotted)
+    parts = []
+    for block, template in _blocks(rows, row_template, ",\n"):
+        values = list(chain.from_iterable(map(cells, block)))
+        text = _JSON_TOKENS.encode(values)[1:-1]
+        text = text.replace("-Infinity", "null").replace("Infinity", "null")
+        parts.append(template % tuple(text.replace("NaN", "null").split("\n")))
+    return ",\n".join(parts)
+
+
 def _render_json(params: dict, field_names: list[str], sections: list) -> str:
     """The bytes of json.dumps({"params", "rows", "version"}, indent=2,
     sort_keys=True) with non-finite numbers as null, the rows being each
     section's rows in turn (see _section_texts).
 
     indent makes json.dumps use its pure-Python encoder, so the rows
-    instead fill a key-sorted %-template one block at a time. A block's
-    values go through one pass of json's C encoder, one token per line
-    (ensure_ascii escapes any newline inside a string). Its non-finite
-    tokens -Infinity, Infinity and NaN become null on the block's text:
-    no string cell can hold them, as the cells are floats, the kinds and
-    the statuses (see _section_texts).
+    instead fill a key-sorted %-template (_json_row, built once per field
+    list) one block at a time. A block's values go through one pass of
+    json's C encoder, one token per line (ensure_ascii escapes any newline
+    inside a string). Its non-finite tokens -Infinity, Infinity and NaN
+    become null on the block's text: no string cell can hold them, as the
+    cells are floats, the kinds and the statuses (see _section_texts).
     """
-    head = json.dumps({"params": params}, indent=2, sort_keys=True)[:-2]
-    order = sorted(range(len(field_names)), key=field_names.__getitem__)
-    keys = {i: _json_str(field_names[i]) for i in order}
-
-    def body(rows: list, slotted: bool) -> str:
-        # the kind cell, field 0, of a slotted table is left as a %s slot
-        row_template = "    {\n      " + ",\n      ".join(
-            keys[i] + (": %%s" if slotted and i == 0 else ": %s")
-            for i in order) + "\n    }"
-        cells = itemgetter(*[i for i in order if i or not slotted])
-        parts = []
-        for block, template in _blocks(rows, row_template, ",\n"):
-            values = list(chain.from_iterable(map(cells, block)))
-            text = json.dumps(values, separators=("\n", ":"))[1:-1]
-            text = text.replace("-Infinity", "null").replace("Infinity", "null")
-            parts.append(template % tuple(text.replace("NaN", "null").split("\n")))
-        return ",\n".join(parts)
-
+    head = _JSON_HEAD.encode({"params": params})[:-2]
     version = _json_str(__version__)
+    body = partial(_json_body, tuple(field_names))
     texts = _section_texts(sections, body, _json_str)
     if not texts:
         return f'{head},\n  "rows": [],\n  "version": {version}\n}}\n'
@@ -569,10 +585,32 @@ def build_parser() -> argparse.ArgumentParser:
     p_transform.add_argument("--omega", type=_non_negative, required=True)
     p_transform.set_defaults(func=cmd_transform)
 
+    parser.commands = sub.choices  # subcommand name -> its parser, for _parse
     return parser
 
 
 _parser: argparse.ArgumentParser | None = None  # filled by the first main() call
+
+
+def _parse(argv) -> argparse.Namespace:
+    """_parser.parse_args(argv), with argv[0] that names a subcommand
+    dispatched straight to that subcommand's parser.
+
+    The top parser's only option is -h, and its subcommand positional
+    takes argv[0] and every argument after it (nargs=PARSER), so it hands
+    argv[1:] to the subcommand's parse_known_args unchanged; here the top
+    parser reports only the arguments left over, as parse_args does. Any
+    other argv (empty, an option first, no subcommand) takes the full parse.
+    """
+    if argv is None:
+        argv = sys.argv[1:]
+    command = _parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return _parser.parse_args(argv)
+    args, extras = command.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+    if extras:
+        _parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    return args
 
 
 def main(argv=None) -> int:
@@ -580,7 +618,7 @@ def main(argv=None) -> int:
     if _parser is None:
         _parser = build_parser()
     try:
-        args = _parser.parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -9,8 +9,10 @@ event is a batch of one. A difference pass lays out, per event, four
 stencil rows along each differenced axis, then the event (_fd_matrix), so
 the rows of consecutive events are one slice. A pass, of at most _PASS
 events, may hold the events of several fields that share c, grouped by
-field: the metric is evaluated once on all rows, and each field once, on
-its own slice (_jet). The step follows from rho (_step).
+field: the metric is built once on all rows, without a check, as a
+stencil that fits has only positive radii, and each field is called once
+and fills its own slice of the lowered field (_jet). The step follows
+from rho (_step).
 
 The built-in congruences are stationary, axisymmetric and z-invariant,
 so their u^a, like the metric, depend on rho alone: they are differenced
@@ -50,9 +52,11 @@ stencil must stay off the axis and, for gal, inside the light cylinder
 (_stencil_fits). kinematic_sample, vorticity_scalar and
 vorticity_scalars raise DomainError for an event that fails it or for a
 result that is not finite. _scalar_rows, the batch routine behind
-vorticity_scalars and the CLI tables (one call per command), gives nan
-for such a row instead and differences the other rows, of every field
-it is given, in passes of at most _PASS events.
+vorticity_scalars and the CLI tables (one call per command), holds the
+rule as one mask over the rows of every field it is given, and gives nan
+for a row that fails it or whose result is not finite, marked in place;
+it differences the other rows in passes of at most _PASS events, with
+no gather or scatter where every row fits.
 
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
@@ -62,14 +66,15 @@ convention-free.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cache, partial, wraps
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-# _u_components is no longer called here; it stays importable because
-# rfbench/layers.py wraps it by this name.
+# _u_components and metric_diag are no longer called here; they stay
+# importable because rfbench/layers.py wraps them by these names.
 from .congruences import (  # noqa: F401
     GAL,
     CongruenceSpec,
@@ -77,12 +82,13 @@ from .congruences import (  # noqa: F401
     _u_rows,
 )
 from .errors import DomainError
-from .tensors import (
+from .tensors import (  # noqa: F401
     LEVI_CIVITA,
     PHI,
     RHO,
     Event,
     FourVector,
+    _metric_rows,
     metric_diag,
 )
 
@@ -110,11 +116,16 @@ class VelocityField:
     """A congruence supplied directly as contravariant u(event).
 
     The callable must return the 4 contravariant components normalized to
-    u.u = c^2 at each event it is given.
+    u.u = c^2 at each event it is given. c must be finite and positive, as
+    on a CongruenceSpec; any other c raises ValueError here.
     """
 
     u: Callable[[Event], np.ndarray]
     c: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"c must be finite and positive, got {self.c}")
 
 
 FieldLike = Union[CongruenceSpec, VelocityField]
@@ -184,9 +195,15 @@ def _step(rho: np.ndarray) -> np.ndarray:
 def _stencil_fits(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Which radii keep the whole stencil off the axis (and inside a gal cylinder)."""
     fits = rho - h > 0.0
+    _inside_cylinder(spec, fits, rho, h)
+    return fits
+
+
+def _inside_cylinder(spec: FieldLike, fits: np.ndarray, rho: np.ndarray,
+                     h: np.ndarray) -> None:
+    """Clear fits, in place, where the stencil reaches a gal light cylinder."""
     if isinstance(spec, CongruenceSpec) and spec.kind == GAL and spec.omega > 0.0:
         fits &= (rho + h) * spec.omega < spec.c
-    return fits
 
 
 def _guard_stencil(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> None:
@@ -245,10 +262,12 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
     groups holds (field, count) pairs, count > 0: the rows of x are the
     events of the first field, then those of the next, and so on. The
     fields share c. h holds one step per row; the stencils must fit (see
-    _stencil_fits). One call of _fd_matrix differences every row (_axes):
-    the metric is evaluated once on all its rows, and each field once on
-    its own slice of them. u is u_low / g_a, so u_low is exactly the
-    lowered field that was differenced. Nothing is checked for overflow.
+    _stencil_fits), so every radius of them is positive and the metric is
+    built unchecked (c is positive on every field). One call of _fd_matrix
+    differences every row (_axes): the metric is evaluated once on all its
+    rows, and each field once on its own slice of them. u is u_low / g_a,
+    so u_low is exactly the lowered field that was differenced. Nothing is
+    checked for overflow.
     """
     c = groups[0][0].c
     axes = _axes(field for field, _ in groups)
@@ -262,10 +281,11 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
 
     def lowered(y: np.ndarray) -> np.ndarray:
         nonlocal g
-        g = metric_diag(y[:, 1], c)
-        if len(slices) == 1:
-            return g * slices[0][0](y)
-        return g * np.concatenate([u_rows(y[rows]) for u_rows, rows in slices])
+        g = _metric_rows(y[:, 1], c)
+        low = np.empty_like(g)
+        for u_rows, rows in slices:  # each field fills its own rows
+            np.multiply(g[rows], u_rows(y[rows]), out=low[rows])
+        return low
 
     du, u_low = _fd_matrix(lowered, x, h, axes)
     # the metric at the events: the last of each event's rows
@@ -349,24 +369,30 @@ def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
 
     A row is nan where its stencil does not fit (off the chart, or across
     the gal light cylinder) or where a value, the scaled scalar among
-    them, is not finite. The rows that fit, of every field in turn, are
-    differenced in passes of at most _PASS events, one _fd_matrix call
-    each, in which each field is called once on its rows in the pass. A
-    row's bits do not depend on its pass.
+    them, is not finite. One mask over every row holds the stencil rule;
+    the rows that fit, of every field in turn, are differenced in passes
+    of at most _PASS events, one _fd_matrix call each, in which each field
+    is called once on its rows in the pass. Where every row fits, no row
+    is gathered or scattered. A row's bits do not depend on its pass.
     """
     if any(field.c != fields[0].c for field in fields):
         raise ValueError("fields differenced together must share c")
-    x = np.concatenate(xs)
-    h = _step(x[:, 1])
-    fits = np.empty(len(x), dtype=bool)
-    counts, stops, start = [], [], 0
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+    rho = x[:, 1]
+    h = _step(rho)
+    fits = rho - h > 0.0  # _stencil_fits, for every field's rows at once
+    bounds, start = [], 0
     for field, part in zip(fields, xs):
-        stop = start + len(part)
-        ok = fits[start:stop] = _stencil_fits(field, x[start:stop, 1], h[start:stop])
-        counts.append(int(np.count_nonzero(ok)))
-        stops.append(stop)
-        start = stop
-    x, h = x[fits], h[fits]
+        rows = slice(start, start + len(part))
+        _inside_cylinder(field, fits[rows], rho[rows], h[rows])
+        bounds.append(rows)
+        start = rows.stop
+    every = bool(fits.all())
+    if every:
+        counts = [len(part) for part in xs]
+    else:
+        counts = [int(np.count_nonzero(fits[rows])) for rows in bounds]
+        x, h = x[fits], h[fits]
     scalar = np.empty(len(x))
     for a in range(0, len(x), _PASS):
         b = a + _PASS
@@ -378,12 +404,16 @@ def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
                 groups.append((field, n))
             first += count
         jet = _jet(groups, x[a:b], h[a:b])
-        w = _norm_rows(jet, _eps_contract(jet, jet.du)) * scale
-        finite = np.isfinite(jet.du).all(axis=(1, 2)) & np.isfinite(w)
-        scalar[a:b] = np.where(finite, w, np.nan)
-    out = np.full(len(fits), np.nan)
-    out[fits] = scalar
-    return [out[a:b] for a, b in zip([0] + stops, stops)]
+        w = _norm_rows(jet, _eps_contract(jet, jet.du))
+        if scale != 1.0:
+            w *= scale
+        w[~(np.isfinite(w) & np.isfinite(jet.du).all(axis=(1, 2)))] = np.nan
+        scalar[a:b] = w
+    out = scalar
+    if not every:
+        out = np.full(len(fits), np.nan)
+        out[fits] = scalar
+    return [out[rows] for rows in bounds]
 
 
 @_quiet

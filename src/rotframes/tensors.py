@@ -84,6 +84,12 @@ def metric_diag(rho, c: float) -> np.ndarray:
     if not positive.all():
         # name one radius: an array's repr can span lines
         raise DomainError(f"rho must be positive, got {r[~positive][0]}")
+    return _metric_rows(r, c)
+
+
+def _metric_rows(r: np.ndarray, c: float) -> np.ndarray:
+    """metric_diag at the radii of the float array r, unchecked: for callers
+    that have already kept every radius positive and c positive."""
     g = np.empty(r.shape + (4,))
     g[...] = (c * c, -1.0, 0.0, -1.0)
     g[..., 2] = -(r * r)

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -12,6 +14,7 @@ import pytest
 import rotframes
 from rotframes import cli
 from rotframes.cli import CSV_HEADER, main
+from rotframes.errors import DomainError
 
 DATA = Path(__file__).parent / "data"
 
@@ -1071,6 +1074,55 @@ class TestParserReuse:
         code, out, _ = in_process[2]
         assert code == 0 and out.split("\n", 1)[0] == CSV_HEADER
         assert in_process[1][0] == 64
+
+
+class TestDispatch:
+    """main hands argv[1:] straight to a subcommand's parser; every argv
+    must end as the full parse of a fresh parser ends it."""
+
+    POINT = ["--rho", "1", "--omega", "0.5"]
+    TRANSFORM = ["transform", "--map", "tt", "--rho", "1", "--omega", "1"]
+    ARGV = [
+        [], ["-h"], ["--help"],
+        ["warp", *POINT], ["comp", *POINT],
+        ["compare", "-h"], ["compare", "--bogus"], ["compare", *POINT, "extra"],
+        ["compare", *POINT, "extra", "--bogus", "x"], ["compare", "--rh", "1", "--omega", "0.5"],
+        ["compare", *POINT, "--format=json"], ["compare", *POINT, "--"],
+        ["compare", "--", *POINT], [*TRANSFORM, "--t=-1e-05"], [*TRANSFORM, "--t", "-1e-05"],
+        ["precess", "--kind", "xx", *POINT], ["omega"],
+        ["--format", "json", "compare", *POINT], ["-h", "compare"],
+    ]
+
+    @staticmethod
+    def _full_parse(argv):
+        """(exit code, stdout, stderr) of a fresh parser's parse_args, then
+        args.func, with main's handling of what they raise."""
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                args = cli.build_parser().parse_args(argv)
+                code = args.func(args)
+            except SystemExit as exc:
+                code = int(exc.code or 0)
+            except cli.UsageError as exc:
+                print(f"rotframes: error: {exc}", file=sys.stderr)
+                code = cli.EXIT_USAGE
+            except DomainError as exc:
+                print(f"rotframes: {exc}", file=sys.stderr)
+                code = cli.EXIT_DOMAIN
+        return code, out.getvalue(), err.getvalue()
+
+    @pytest.mark.parametrize("argv", ARGV, ids=" ".join)
+    def test_main_ends_as_the_full_parse(self, capsys, monkeypatch, argv):
+        # usage text wraps at the terminal width: pin it on both sides
+        monkeypatch.setenv("COLUMNS", "80")
+        expected = self._full_parse(argv)
+        assert run(capsys, argv) == expected
+
+    def test_leftovers_name_the_program(self, capsys):
+        code, out, err = run(capsys, ["compare", *self.POINT, "extra"])
+        assert (code, out) == (64, "")
+        assert err == "rotframes: error: unrecognized arguments: extra\n"
 
 
 class _CliFuzz:

@@ -319,6 +319,15 @@ class TestUserSuppliedField:
             omega_closed_form(1.2, builtin), rel=1e-8
         )
 
+    @pytest.mark.parametrize("c", [-1.0, 0.0, -0.0, math.nan, math.inf, -math.inf])
+    def test_rejects_c_that_is_not_finite_and_positive(self, c):
+        # these built fine and failed only at first use: DomainError from the
+        # metric ("c must be positive"), or "kinematics overflow" at inf
+        calls = []
+        with pytest.raises(ValueError, match="c must be finite and positive"):
+            VelocityField(calls.append, c)
+        assert calls == []
+
 
 class TestKinematicSample:
     def test_internally_consistent(self):
