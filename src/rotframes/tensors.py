@@ -95,17 +95,3 @@ def _metric_rows(r: np.ndarray, c: float) -> np.ndarray:
     g[..., 2] = -(r * r)
     return g
 
-
-def _christoffel(rho) -> np.ndarray:
-    """Gamma[..., a, b, g] = Gamma^a_{bg} at radius rho, a float or an array.
-
-    Only Gamma^rho_{phi phi} = -rho and Gamma^phi_{rho phi} = 1/rho (and
-    its mirror) are nonzero in this chart; c drops out entirely. It serves
-    only transport; kinematics writes the metric term out instead.
-    """
-    gam = np.zeros(np.shape(rho) + (4, 4, 4))
-    gam[..., RHO, PHI, PHI] = -rho
-    gam[..., PHI, RHO, PHI] = 1.0 / rho
-    gam[..., PHI, PHI, RHO] = 1.0 / rho
-    return gam
-

@@ -8,9 +8,17 @@ reduces to a linear, constant-coefficient system
     M^a_g = -Gamma^a_{bg} u^b + (a^a u_g - u^a a_g) / c^2,
 
 which fixed-step RK4 integrates; ``_kernels.fw_rk4`` evaluates the N-step
-RK4 map in closed form rather than stepping it. The generator is
-antisymmetric in the metric sense, so S.u and S.S are conserved exactly
-by the flow; their numerical drift measures integration error.
+RK4 map in closed form rather than stepping it. The chart's only
+connection coefficients are Gamma^rho_{phi phi} = -rho and
+Gamma^phi_{rho phi} = Gamma^phi_{phi rho} = 1/rho, so transport_generator
+forms M from u, a, rho and c alone, with no connection array: the
+Fermi-Walker outer products, plus the connection term written out,
+
+    M^rho_phi = rho u^phi,  M^phi_rho = -(1/rho) u^phi,  M^phi_phi = -(1/rho) u^rho.
+
+The generator is antisymmetric in the metric sense, so S.u and S.S are
+conserved exactly by the flow; their numerical drift measures
+integration error.
 
 The measured precession angle is the rotation of S's projection onto the
 (rho, phi) plane against the co-rotating orthonormal dyad of the orbit
@@ -48,7 +56,7 @@ from .congruences import (
     _u_components,
 )
 from .errors import ConstraintDriftError, DomainError, LightCylinderError
-from .tensors import PHI, T, Event, _christoffel, metric_diag
+from .tensors import PHI, RHO, T, Event, metric_diag
 
 #: Scaled constraint-drift bound (|S.u| or relative S.S change) above
 #: which a transport run is rejected mid-flight.
@@ -140,20 +148,18 @@ def corotating_dyad(wl: Worldline) -> tuple[np.ndarray, np.ndarray]:
 
 
 def transport_generator(wl: Worldline) -> np.ndarray:
-    """Constant matrix M with dS^a/dtau = M^a_g S^g along the worldline."""
-    gam = _christoffel(wl.rho)
-    g = metric_diag(wl.rho, wl.spec.c)
-    u_low = g * wl.u
-    a_low = g * wl.a
-    m = -np.einsum("abg,b->ag", gam, wl.u)
-    m += (np.outer(wl.a, u_low) - np.outer(wl.u, a_low)) / (wl.spec.c**2)
-    return m
+    """Constant matrix M with dS^a/dtau = M^a_g S^g along the worldline.
 
-
-def _finite_generator(wl: Worldline) -> np.ndarray:
-    """transport_generator(wl); DomainError where it leaves the float range."""
+    Raises DomainError where M leaves the float range.
+    """
+    rho, u, a, c = wl.rho, wl.u, wl.a, wl.spec.c
+    g = metric_diag(rho, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = transport_generator(wl)
+        m = (np.outer(a, g * u) - np.outer(u, g * a)) / (c**2)
+        # (1 / rho) u, not u / rho: the last bits differ, and reach the angle
+        m[RHO, PHI] += rho * u[PHI]
+        m[PHI, RHO] += -((1.0 / rho) * u[PHI])
+        m[PHI, PHI] += -((1.0 / rho) * u[RHO])
     if not np.isfinite(m).all():
         raise DomainError("transport generator overflows the float range")
     return m
@@ -207,7 +213,7 @@ def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
     n_rec = min(int(n_samples), steps + 1)
     record_idx = np.array([0, steps]) if n_rec == 2 else np.unique(
         np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
-    m = _finite_generator(wl)
+    m = transport_generator(wl)
     # overflow of the steps is checked below, on the drift
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         spins, raw_ortho, raw_norm, theta = fw_rk4(m, s, h, record_idx, g, wl.u)
@@ -247,7 +253,7 @@ def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> fl
     u_t = float(wl.u[T])
     rounding = sys.float_info.epsilon * u_t * u_t
     if not rounding <= SELF_CHECK_TOL:
-        _finite_generator(wl)  # a generator past the float range says so first
+        transport_generator(wl)  # a generator past the float range says so first
         raise DomainError(
             f"transport generator at u^t = {u_t:.6g} carries rounding eps (u^t)^2 = "
             f"{rounding:.3g}, above {SELF_CHECK_TOL:g}: "

@@ -1,13 +1,14 @@
-"""The fixed numpy cost of a one-event difference pass.
+"""The fixed numpy cost of a one-event difference pass and of one angle.
 
-A one-row compare or precess table, and a kinematic_sample, work on
-arrays of a few rows, where each numpy call costs about a microsecond
-whatever its size. The number of numpy calls such a pass makes therefore
-bounds its latency, and unlike a timing it repeats exactly on a noisy
-host. It is counted here as sys.setprofile c_call events: numpy functions
-(np.empty, np.concatenate, ...), ndarray methods (.all, .reshape, ...)
-and ufunc methods (.reduce). Calls of a ufunc itself, operators and
-indexing raise no c_call event and are not counted.
+A one-row compare or precess table, a kinematic_sample, and the
+Fermi-Walker angle of precess --fw-check work on arrays of a few rows,
+where each numpy call costs about a microsecond whatever its size. The
+number of numpy calls such a pass makes therefore bounds its latency,
+and unlike a timing it repeats exactly on a noisy host. It is counted
+here as sys.setprofile c_call events: numpy functions (np.empty,
+np.concatenate, ...), ndarray methods (.all, .reshape, ...) and ufunc
+methods (.reduce). Calls of a ufunc itself, operators and indexing
+raise no c_call event and are not counted.
 
 Each bound is the count measured with numpy 2.4 when the pass was last
 made cheaper; a change that adds a numpy call to one of these passes
@@ -20,7 +21,14 @@ import sys
 import numpy as np
 import pytest
 
-from rotframes import CongruenceSpec, Event, VelocityField, four_velocity, kinematic_sample
+from rotframes import (
+    CongruenceSpec,
+    Event,
+    VelocityField,
+    four_velocity,
+    kinematic_sample,
+    measure_precession_angle,
+)
 from rotframes.cli import compute_rows
 
 TT = CongruenceSpec("tt", 0.5)
@@ -68,7 +76,10 @@ def test_the_count_sees_numpy_calls_only():
     (lambda: kinematic_sample(CongruenceSpec("gal", 0.5), EVENT), 29),
     (lambda: kinematic_sample(TT, EVENT), 30),
     (lambda: kinematic_sample(USER, EVENT), 59),
+    # the angle behind precess --fw-check: worldline, generator and RK4 map
+    (lambda: measure_precession_angle(CongruenceSpec("gal", 0.5), 1.0, 100000), 49),
+    (lambda: measure_precession_angle(TT, 1.0, 100000), 49),
 ], ids=["compare", "precess", "kinematic_sample gal", "kinematic_sample tt",
-        "kinematic_sample user"])
+        "kinematic_sample user", "fw angle gal", "fw angle tt"])
 def test_one_event_pass_makes_no_more_numpy_calls(call, bound):
     assert _numpy_calls(call) <= bound

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from _geometry import _christoffel
 from rotframes import (
     CongruenceSpec,
     DomainError,
@@ -87,6 +88,13 @@ class TestPartialDerivatives:
             _at(spec, Event(0.0, 0.9999999, 0.0))
         with pytest.raises(DomainError, match="chart"):
             _at(CongruenceSpec("tt", 1.0), Event(0.0, 1e-7, 0.0))
+
+    def test_light_cylinder_message_names_the_stencil_edge(self):
+        # the step is 1e-4 rho; the edge rho + step passes c / omega = 2
+        with pytest.raises(DomainError) as info:
+            vorticity_scalar(CongruenceSpec("gal", 0.5), Event(0.0, 1.9999, 0.0))
+        assert str(info.value) == ("difference stencil crosses the light cylinder: "
+                                   "rho + step = 2.00009999, c / omega = 2.0")
 
 
 class TestAcceleration:
@@ -405,7 +413,6 @@ class TestOneJacobian:
         # reference: u^b d_b u^a, differencing the contravariant field
         # itself, plus the connection terms
         from rotframes.kinematics import _fd_matrix, _field_rows, _step
-        from rotframes.tensors import _christoffel
 
         for field, e in [*_events(31, 30), *_drifting(37, 10)]:
             jet = _at(field, e)
@@ -445,8 +452,6 @@ class TestGeometry:
     @staticmethod
     def _christoffel_forms(jet):
         """u_dot^a and w_ab by contracting the full connection at one event."""
-        from rotframes.tensors import _christoffel
-
         gam = _christoffel(jet.rho[0])
         u, g, u_low, du = jet.u[0], jet.g[0], jet.u_low[0], jet.du[0]
         # d_b u^a by the product rule, with d_rho g_phi = -2 rho

@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from _geometry import _christoffel
 from rotframes import LEVI_CIVITA, DomainError, Event, FourVector
-from rotframes.tensors import _christoffel, metric_diag
+from rotframes.tensors import metric_diag
 
 
 def test_metric_unit_radius_is_minkowski_like():

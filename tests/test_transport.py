@@ -6,20 +6,24 @@ import pytest
 
 import rotframes._kernels as kernels
 import rotframes.transport as transport
+from _geometry import _christoffel
 from rotframes import (
     CongruenceSpec,
     ConstraintDriftError,
     DomainError,
     Event,
     LightCylinderError,
+    Worldline,
     compare_congruences,
     corotating_dyad,
     fw_step,
     fw_transport,
     kinematic_sample,
     measure_precession_angle,
+    omega_closed_form,
     precession_per_revolution,
     proper_period,
+    rapidity,
     worldline,
 )
 from rotframes.tensors import metric_diag
@@ -93,6 +97,52 @@ class TestDyadAndGenerator:
             resid = np.linalg.norm(m @ m @ m + omega2 * m)
             assert resid <= 1e-14 * np.linalg.norm(m) ** 3
 
+    def test_generator_equals_the_christoffel_contraction(self):
+        # the written-out entries against -Gamma^a_{bg} u^b from the full
+        # connection, plus the Fermi-Walker term, bit for bit; the hand-built
+        # worldline has u^rho != 0 and every component of a nonzero
+        def reference(wl):
+            g = metric_diag(wl.rho, wl.spec.c)
+            m = -np.einsum("abg,b->ag", _christoffel(wl.rho), wl.u)
+            m += (np.outer(wl.a, g * wl.u) - np.outer(wl.u, g * wl.a)) / (wl.spec.c**2)
+            return m
+
+        rng = np.random.default_rng(26)
+        wls = [Worldline(CongruenceSpec("gal", 0.4, 1.3), 1.7,
+                         np.array([1.6, 0.45, 0.3, -0.2]), np.array([0.1, -0.35, 0.05, 0.2]))]
+        for kind in ("gal", "tt", "mtt") * 20:
+            c, omega = np.exp(rng.uniform(-5.0, 5.0, 2))
+            lam = rng.uniform(0.01, 0.99 if kind == "gal" else 6.0)
+            wls.append(worldline(CongruenceSpec(kind, omega, c), lam * c / omega))
+        for wl in wls:
+            assert np.array_equal(transport_generator(wl), reference(wl))
+        # 1 / rho overflows
+        with pytest.raises(DomainError) as info:
+            transport_generator(replace(wls[1], rho=1e-320))
+        assert str(info.value) == "transport generator overflows the float range"
+
+    def test_rotation_rate_is_vorticity_plus_shear(self):
+        # sqrt(-tr(M^2) / 2) is the spin's rate against a non-rotating
+        # frame: the vorticity for the rigid gal congruence, and vorticity
+        # plus shear, (c / rho) sinh(lam) cosh(lam), for tt; the generator
+        # carries rounding eps (u^t)^2
+        rng = np.random.default_rng(14)
+        eps = np.finfo(float).eps
+        for kind in ("gal", "tt") * 300:
+            c, omega = np.exp(rng.uniform(-5.0, 5.0, 2))
+            spec = CongruenceSpec(kind, omega, c)
+            rho = rng.uniform(0.001, 0.999 if kind == "gal" else 6.0) * c / omega
+            wl = worldline(spec, rho)
+            m = transport_generator(wl)
+            rate = math.sqrt(-0.5 * np.trace(m @ m))
+            if kind == "gal":
+                expected = omega_closed_form(rho, spec)
+            else:
+                lam = rapidity(rho, spec)
+                expected = c / rho * math.sinh(lam) * math.cosh(lam)
+            tol = 8.0 * eps * wl.u[0] ** 2 * expected
+            assert abs(rate - expected) <= tol, (kind, rho, omega, c)
+
 
 class TestKernels:
     def test_fw_step_matches_kernel_single_step(self):
@@ -126,6 +176,21 @@ class TestKernels:
             out = kernels.fw_rk4(m, s0, h, idx, g, wl.u)[0]
             err = np.linalg.norm(out - chain[: n + 1], axis=1).max()
             assert err <= 1e-13 * np.linalg.norm(s0)
+
+    def test_closed_form_of_a_nilpotent_generator(self):
+        # M^3 = 0 with M^2 != 0: Omega = 0 and P^n = I + n h M + (n h)^2 / 2 M^2
+        # exactly, the branch no worldline of a rotating congruence reaches
+        m = np.zeros((4, 4))
+        m[0, 1], m[1, 2] = 0.3, -0.7
+        s0 = np.array([1.0, 0.5, -0.25, 2.0])
+        h = 0.01
+        chain = [s0]
+        for _ in range(1000):
+            chain.append(fw_step(m, chain[-1], h))
+        idx = np.array([0, 1, 17, 1000])
+        out = kernels.fw_rk4(m, s0, h, idx, metric_diag(1.0, 1.0), np.array([1.0, 0, 0, 0]))
+        np.testing.assert_allclose(out[0], np.array(chain)[idx], rtol=1e-13, atol=0.0)
+        assert out[3] == 0.0
 
     def test_wrong_acceleration_is_rejected(self):
         # hand-built worldlines whose a does not fit the orbit: a boost-
