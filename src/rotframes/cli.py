@@ -23,7 +23,10 @@ mark into exit 3. JSON output is an object
 {"params": ..., "rows": [...], "version": ...} as json.dumps prints it with
 indent=2 and sorted keys: floats print as Python repr, so they round-trip
 exactly, and non-finite values become null. Both formats are rendered a
-block of rows at a time (_render_csv, _render_json).
+block of rows at a time (_render_csv, _render_json). The JSON params
+head fills a %-template cached per shape of the params (_json_head:
+their sorted names and the length of each list value) from one pass of
+json's C encoder over the values, as the rows do (_params_head).
 
 omega, compare and precess each compute their rows with one compute_rows
 call: each distinct model once (congruences._MODEL), every radius of it
@@ -268,9 +271,7 @@ def compute_row(kind: str, rho: float, omega: float, c: float,
 # the %-tuple small however long the table is
 _BLOCK = 512
 _json_str = json.encoder.encode_basestring_ascii  # json.dumps of a str, without its overhead
-# json.dumps(..., indent=2, sort_keys=True) and json.dumps(..., separators=("\n", ":")),
-# each without building its encoder per call
-_JSON_HEAD = json.JSONEncoder(indent=2, sort_keys=True)
+# json.dumps(..., separators=("\n", ":")) without building its encoder per call
 _JSON_TOKENS = json.JSONEncoder(separators=("\n", ":"))
 
 
@@ -342,6 +343,42 @@ def _json_body(field_names: tuple[str, ...], rows: list, slotted: bool) -> str:
     return ",\n".join(parts)
 
 
+@cache
+def _json_head(shape: tuple) -> str:
+    """The %-template of the JSON params head for one shape: each param's
+    name, in sorted order, with the length of a list value (None for a
+    scalar). It ends where json.dumps's text for the "params" key does."""
+    lines = []
+    for name, size in shape:
+        if size is None:
+            value = "%s"
+        elif size == 0:
+            value = "[]"
+        else:
+            value = "[\n      " + ",\n      ".join(["%s"] * size) + "\n    ]"
+        lines.append(f"    {_json_str(name)}: {value}")
+    return '{\n  "params": {\n' + ",\n".join(lines) + "\n  }"
+
+
+def _params_head(params: dict) -> str:
+    """json.dumps({"params": params}, indent=2, sort_keys=True) without its
+    closing brace, for params whose values are scalars or lists of
+    scalars, at least one of them a scalar (every command's command name).
+
+    The values go through one pass of json's C encoder, one token per
+    line, and fill _json_head's template of their shape."""
+    shape, flat = [], []
+    for name in sorted(params):
+        value = params[name]
+        if isinstance(value, list):
+            shape.append((name, len(value)))
+            flat += value
+        else:
+            shape.append((name, None))
+            flat.append(value)
+    return _json_head(tuple(shape)) % tuple(_JSON_TOKENS.encode(flat)[1:-1].split("\n"))
+
+
 def _render_json(params: dict, field_names: list[str], sections: list) -> str:
     """The bytes of json.dumps({"params", "rows", "version"}, indent=2,
     sort_keys=True) with non-finite numbers as null, the rows being each
@@ -355,7 +392,7 @@ def _render_json(params: dict, field_names: list[str], sections: list) -> str:
     become null on the block's text: no string cell can hold them, as the
     cells are floats, the kinds and the statuses (see _section_texts).
     """
-    head = _JSON_HEAD.encode({"params": params})[:-2]
+    head = _params_head(params)
     version = _json_str(__version__)
     body = partial(_json_body, tuple(field_names))
     texts = _section_texts(sections, body, _json_str)

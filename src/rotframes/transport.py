@@ -30,6 +30,15 @@ Thomas result -2 pi cosh(lambda), which intentionally differs from the
 vorticity-based per-revolution angle; both are -2 pi u^t. See README
 for the discussion. Angles are accumulated, never folded mod 2 pi.
 
+fw_transport builds the metric diagonal once per call and forms the
+generator from it (_generator; transport_generator is the public form,
+which builds its own metric), all under one numpy errstate block: a
+value past the float range is caught by the checks on the metric, the
+generator and the drift, not by a warning. The spin is recorded at
+n_samples >= 2 steps, the last one among them, where the drift is
+largest. measure_precession_angle reads the dyad from the scalars u^t,
+u^phi and rho, so one angle builds the metric once.
+
 Each per-revolution report is built from one evaluation of the closed
 forms (congruences._fixed_point); the integrator angle only on request.
 """
@@ -152,14 +161,21 @@ def transport_generator(wl: Worldline) -> np.ndarray:
 
     Raises DomainError where M leaves the float range.
     """
-    rho, u, a, c = wl.rho, wl.u, wl.a, wl.spec.c
-    g = metric_diag(rho, c)
+    g = metric_diag(wl.rho, wl.spec.c)
     with np.errstate(over="ignore", invalid="ignore"):
-        m = (np.outer(a, g * u) - np.outer(u, g * a)) / (c**2)
-        # (1 / rho) u, not u / rho: the last bits differ, and reach the angle
-        m[RHO, PHI] += rho * u[PHI]
-        m[PHI, RHO] += -((1.0 / rho) * u[PHI])
-        m[PHI, PHI] += -((1.0 / rho) * u[RHO])
+        return _generator(wl, g)
+
+
+def _generator(wl: Worldline, g: np.ndarray) -> np.ndarray:
+    """transport_generator from the metric diagonal g at wl.rho, for a
+    caller that holds numpy's overflow and invalid warnings off."""
+    rho, u, a, c = wl.rho, wl.u, wl.a, wl.spec.c
+    m = (a[:, None] * (g * u) - u[:, None] * (g * a)) / (c**2)
+    _, u_rho, u_phi, _ = u.tolist()
+    # (1 / rho) u, not u / rho: the last bits differ, and reach the angle
+    m[RHO, PHI] += rho * u_phi
+    m[PHI, RHO] += -((1.0 / rho) * u_phi)
+    m[PHI, PHI] += -((1.0 / rho) * u_rho)
     if not np.isfinite(m).all():
         raise DomainError("transport generator overflows the float range")
     return m
@@ -180,7 +196,10 @@ def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
 
     s0 holds the contravariant spin components; it must be spacelike and
     orthogonal to the worldline's four-velocity.
-    steps must be an integer from 16 to 2**53 (ValueError otherwise).
+    steps must be an integer from 16 to 2**53, and n_samples an integer
+    of at least 2 (ValueError otherwise). The spin is recorded at
+    min(n_samples, steps + 1) steps spread evenly over the span, the
+    first and the last step among them.
     Raises ConstraintDriftError when the scaled |S.u| or the relative
     S.S drift exceeds DRIFT_LIMIT at any step, or is nan because the
     steps overflowed. That signals too few steps for the requested span,
@@ -193,42 +212,48 @@ def fw_transport(wl: Worldline, s0: np.ndarray, tau_span: float, steps: int,
     if not 16 <= steps <= 2**53:
         # above 2**53 the step indices are no longer exact floats
         raise ValueError(f"steps must be from 16 to 2**53, got {steps}")
+    if isinstance(n_samples, bool) or not isinstance(n_samples, numbers.Integral):
+        raise ValueError(f"n_samples must be an integer, got {n_samples!r}")
+    if not n_samples >= 2:
+        # the drift is read at the samples, and the largest is at the last step
+        raise ValueError(f"n_samples must be at least 2, got {n_samples}")
     if not tau_span > 0.0:
         raise ValueError(f"tau_span must be positive, got {tau_span}")
     s = np.asarray(s0, dtype=float)
-    c = wl.spec.c
-    with np.errstate(over="ignore", invalid="ignore"):
-        g = metric_diag(wl.rho, c)
-        s_norm2 = -float(s @ (g * s))
-    if not np.isfinite(g).all() or math.isinf(s_norm2):
-        raise DomainError(
-            f"metric or spin norm leaves the float range at rho = {wl.rho}, c = {c}")
-    if not s_norm2 > 0.0:
-        raise ValueError("initial spin must be spacelike")
-    scale = c * math.sqrt(s_norm2)
-    if abs(float(s @ (g * wl.u))) > 1e-9 * scale:
-        raise ConstraintDriftError("initial spin is not orthogonal to u")
-
+    rho, u, c = wl.rho, wl.u, wl.spec.c
     h = tau_span / steps
-    n_rec = min(int(n_samples), steps + 1)
-    record_idx = np.array([0, steps]) if n_rec == 2 else np.unique(
-        np.round(np.linspace(0.0, steps, n_rec)).astype(np.int64))
-    m = transport_generator(wl)
-    # overflow of the steps is checked below, on the drift
+    # overflow in the metric, the generator and the steps is checked on
+    # the values they give
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        spins, raw_ortho, raw_norm, theta = fw_rk4(m, s, h, record_idx, g, wl.u)
+        g = metric_diag(rho, c)
+        s_norm2 = -float(s @ (g * s))
+        # g_rr = g_zz = -1, so only g_tt = c^2 and g_pp = -rho^2 can overflow
+        if not (math.isfinite(g[T]) and math.isfinite(g[PHI])) or math.isinf(s_norm2):
+            raise DomainError(
+                f"metric or spin norm leaves the float range at rho = {rho}, c = {c}")
+        if not s_norm2 > 0.0:
+            raise ValueError("initial spin must be spacelike")
+        scale = c * math.sqrt(s_norm2)
+        if abs(float(s @ (g * u))) > 1e-9 * scale:
+            raise ConstraintDriftError("initial spin is not orthogonal to u")
+        # step counts as floats, which are exact up to 2**53
+        n_rec = min(n_samples, steps + 1)
+        record_idx = np.array([0.0, steps]) if n_rec == 2 else np.unique(
+            np.round(np.linspace(0.0, steps, n_rec)))
+        m = _generator(wl, g)
+        spins, raw_ortho, raw_norm, theta = fw_rk4(m, s, h, record_idx, g, u)
     drift = max(raw_ortho / scale, raw_norm / s_norm2)
     if math.isnan(raw_ortho + raw_norm):
         drift = math.nan  # samples past the float range: the RK4 steps grew
     if not drift <= DRIFT_LIMIT:
-        u_t = float(wl.u[T])
+        u_t = float(u[T])
         rounding = sys.float_info.epsilon * u_t * u_t
         cause = (f"the generator at u^t = {u_t:.6g} carries rounding eps (u^t)^2 = "
                  f"{rounding:.3g}, which no step count removes"
                  if rounding > DRIFT_LIMIT else "too few steps")
         raise ConstraintDriftError(
             f"constraint drift {drift:.3e} exceeds {DRIFT_LIMIT:.0e}: {cause}")
-    return FwTrajectory(taus=record_idx.astype(float) * h, spins=spins, max_drift=drift,
+    return FwTrajectory(taus=record_idx * h, spins=spins, max_drift=drift,
                         generator=m, step_angle=theta)
 
 
@@ -245,9 +270,10 @@ def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> fl
     revolution. The RK4 map turns it by step_angle a step, so the angle is
     -steps * step_angle, in the sense the generator turns e_r; the final
     spin's angle against the dyad must agree mod 2 pi (ConstraintDriftError
-    otherwise). Omega^2 = -tr(M^2) / 2 is good to about eps (u^t)^2, so
-    where that exceeds SELF_CHECK_TOL (u^t above about 67000) this raises
-    DomainError before any transport.
+    otherwise). Both are read on corotating_dyad's legs lowered, written
+    out from rho, u^t and u^phi. Omega^2 = -tr(M^2) / 2 is good to about
+    eps (u^t)^2, so where that exceeds SELF_CHECK_TOL (u^t above about
+    67000) this raises DomainError before any transport.
     """
     wl = worldline(spec, rho)
     u_t = float(wl.u[T])
@@ -259,14 +285,14 @@ def measure_precession_angle(spec: CongruenceSpec, rho: float, steps: int) -> fl
             f"{rounding:.3g}, above {SELF_CHECK_TOL:g}: "
             f"rho = {rho}, omega = {spec.omega}, c = {spec.c}"
         )
-    # the dyad's radial leg: the whole dyad waits for fw_transport's
-    # DomainError where c * c underflows
-    e_r = np.array([0.0, 1.0, 0.0, 0.0])
-    traj = fw_transport(wl, e_r, proper_period(spec, rho), steps, n_samples=2)
-    # dyad components; the minus signs because spatial legs have e.e = -1
-    dyad = -np.array(corotating_dyad(wl)) * metric_diag(rho, spec.c)
-    angle = math.copysign(steps, dyad[1] @ traj.generator @ e_r) * traj.step_angle
-    s_r, s_p = dyad @ traj.spins[-1]
+    traj = fw_transport(wl, [0.0, 1.0, 0.0, 0.0], proper_period(spec, rho), steps,
+                        n_samples=2)
+    # the dyad's legs, lowered and negated because spatial legs have
+    # e.e = -1: e_r gives (0, 1, 0, 0) and e_p (-rho u^phi, 0, rho u^t, 0)
+    p_t, p_phi = -rho * float(wl.u[PHI]), rho * u_t
+    m, spin = traj.generator, traj.spins[-1]
+    angle = math.copysign(steps, p_t * m[T, RHO] + p_phi * m[PHI, RHO]) * traj.step_angle
+    s_r, s_p = spin[RHO], p_t * spin[T] + p_phi * spin[PHI]
     if not abs(math.remainder(math.atan2(s_p, s_r) - angle, 2.0 * math.pi)) <= DRIFT_LIMIT:
         raise ConstraintDriftError(f"transported spin is off the RK4 angle {angle!r}")
     return angle

@@ -1,14 +1,16 @@
 """The fixed numpy cost of a one-event difference pass and of one angle.
 
-A one-row compare or precess table, a kinematic_sample, and the
-Fermi-Walker angle of precess --fw-check work on arrays of a few rows,
-where each numpy call costs about a microsecond whatever its size. The
-number of numpy calls such a pass makes therefore bounds its latency,
-and unlike a timing it repeats exactly on a noisy host. It is counted
-here as sys.setprofile c_call events: numpy functions (np.empty,
-np.concatenate, ...), ndarray methods (.all, .reshape, ...) and ufunc
-methods (.reduce). Calls of a ufunc itself, operators and indexing
-raise no c_call event and are not counted.
+A one-row compare or precess table, a kinematic_sample, the Fermi-Walker
+angle of precess --fw-check and a transport run work on arrays of a few
+rows, where each numpy call costs about a microsecond whatever its size.
+The number of numpy calls such a pass makes therefore bounds its
+latency, and unlike a timing it repeats exactly on a noisy host. It is
+counted here as sys.setprofile c_call events: numpy's builtin functions
+(np.array, np.empty, ...), ndarray methods (.all, .reshape, ...) and
+ufunc methods (.reduce). The functions numpy dispatches in C through
+__array_function__ (np.concatenate, np.dot, np.vdot, ...), calls of a
+ufunc itself, operators and indexing raise no c_call event and are not
+counted.
 
 Each bound is the count measured with numpy 2.4 when the pass was last
 made cheaper; a change that adds a numpy call to one of these passes
@@ -26,14 +28,17 @@ from rotframes import (
     Event,
     VelocityField,
     four_velocity,
+    fw_transport,
     kinematic_sample,
     measure_precession_angle,
+    worldline,
 )
 from rotframes.cli import compute_rows
 
 TT = CongruenceSpec("tt", 0.5)
 EVENT = Event(0.0, 1.0, 0.0)
 USER = VelocityField(lambda e: four_velocity(e, TT).components)
+WORLDLINE = worldline(TT, 1.0)
 
 
 def _is_numpy(fn) -> bool:
@@ -77,9 +82,11 @@ def test_the_count_sees_numpy_calls_only():
     (lambda: kinematic_sample(TT, EVENT), 30),
     (lambda: kinematic_sample(USER, EVENT), 59),
     # the angle behind precess --fw-check: worldline, generator and RK4 map
-    (lambda: measure_precession_angle(CongruenceSpec("gal", 0.5), 1.0, 100000), 49),
-    (lambda: measure_precession_angle(TT, 1.0, 100000), 49),
+    (lambda: measure_precession_angle(CongruenceSpec("gal", 0.5), 1.0, 100000), 19),
+    (lambda: measure_precession_angle(TT, 1.0, 100000), 19),
+    # a transport at its default 1025 samples
+    (lambda: fw_transport(WORLDLINE, (0.0, 1.0, 0.0, 0.0), 10.0, 100000), 25),
 ], ids=["compare", "precess", "kinematic_sample gal", "kinematic_sample tt",
-        "kinematic_sample user", "fw angle gal", "fw angle tt"])
+        "kinematic_sample user", "fw angle gal", "fw angle tt", "fw_transport 1025"])
 def test_one_event_pass_makes_no_more_numpy_calls(call, bound):
     assert _numpy_calls(call) <= bound

@@ -8,6 +8,8 @@ for every field list the CLI emits and for row counts around the block
 size. A flat table is one (None, rows) section; a report table split into
 (kind, rows) sections, some sharing one rows list, must print as the
 flat table of its rows with each kind cell rewritten to its section's.
+The params head, filled from a cached template, must print as json.dumps
+prints the params of each command, over seeded values.
 """
 
 import json
@@ -46,6 +48,14 @@ PARAMS = {
                   "omega": 0.0, "c": 1.0, "format": "json"},
 }
 SIZES = [0, 1, cli._BLOCK - 1, cli._BLOCK, cli._BLOCK + 1]
+# the params each command adds to command, omega, c and format
+COMMAND_FIELDS = {
+    "omega": ("kind", "rho_min", "rho_max", "steps"),
+    "compare": ("rho",),
+    "precess": ("kind", "rho", "fw_check"),
+    "transform": ("map", "direction"),
+}
+EXTREME_INTS = [0, 2, 2**53, 2**63, 10**30]
 
 
 def _value(rng):
@@ -64,6 +74,27 @@ def _table(rng, table, n):
               for i in range(len(names)))
         for _ in range(n)
     ]
+
+
+def _command_params(rng, command):
+    """Params of command with seeded values: floats of every shape, ints up
+    to 10**30, a list of 0 to 3 kinds for omega, and null for fw_check."""
+    def integer():
+        return EXTREME_INTS[int(rng.integers(len(EXTREME_INTS)))]
+
+    drawn = {
+        "kind": (str(rng.choice(KIND_NAMES)) if command == "precess" else
+                 [str(k) for k in rng.choice(KIND_NAMES, int(rng.integers(0, 4)))]),
+        "steps": integer(),
+        "fw_check": None if rng.random() < 0.5 else integer(),
+        "map": str(rng.choice(["gal", "tt"])),
+        "direction": str(rng.choice(["fwd", "inv"])),
+    }
+    params = {"command": command, "omega": _value(rng), "c": _value(rng),
+              "format": "json"}
+    for name in COMMAND_FIELDS[command]:
+        params[name] = drawn[name] if name in drawn else _value(rng)
+    return params
 
 
 def _reference_json(params, names, rows):
@@ -127,6 +158,16 @@ def test_every_special_value_in_one_row():
     assert _render_json(params, names, [(None, rows)]) == _reference_json(
         params, names, rows)
     assert _render_csv(",".join(names), [(None, rows)]) == _reference_csv(names, rows)
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_FIELDS))
+def test_params_head_matches_json_dumps(command):
+    rng = np.random.default_rng([31, len(command)])
+    for _ in range(40):
+        params = _command_params(rng, command)
+        assert cli._params_head(params) == json.dumps(
+            {"params": params}, indent=2, sort_keys=True)[:-2]
+        assert _render_json(params, ["x"], []) == _reference_json(params, ["x"], [])
 
 
 def test_json_rows_round_trip():

@@ -215,6 +215,23 @@ class TestKernels:
         except ConstraintDriftError as exc:
             assert "M^3" not in str(exc)
 
+    def test_generator_near_the_float_range(self):
+        # entries near 1e154: M^2 nears the float range, and the identity is
+        # checked on M scaled to entries below 1; the kernel runs under
+        # fw_transport's errstate
+        wl = worldline(CongruenceSpec("tt", 0.5), 1.0)
+        g = metric_diag(wl.rho, wl.spec.c)
+        e_r, _ = corotating_dyad(wl)
+        m = transport_generator(wl) * 1e154
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            spins, ortho, norm, _ = kernels.fw_rk4(m, e_r, 1e-160, [0, 16], g, wl.u)
+            assert np.isfinite(spins).all() and max(ortho, norm) <= 1e-6
+            # a step far past RK4's stability bound overflows to nan
+            _, ortho, norm, _ = kernels.fw_rk4(m, e_r, 1.0, [0, 16], g, wl.u)
+            assert math.isnan(ortho + norm)
+            with pytest.raises(ConstraintDriftError, match="M\\^3"):
+                kernels.fw_rk4(m + 1e153 * np.eye(4), e_r, 1e-160, [0, 16], g, wl.u)
+
 
 class TestTransport:
     def test_static_worldline_spin_is_constant(self):
@@ -378,6 +395,35 @@ class TestTransport:
         for steps in (2**53, np.int64(4096)):
             traj = fw_transport(wl, e_r, 1.0, steps, n_samples=3)
             assert traj.taus[-1] == pytest.approx(1.0, rel=1e-15)
+
+    @pytest.mark.parametrize("n_samples, message", [
+        (1, "at least 2, got 1"),
+        (0, "at least 2, got 0"),
+        (-5, "at least 2, got -5"),
+        (2.7, "an integer, got 2.7"),
+        (True, "an integer, got True"),
+    ])
+    def test_sample_count_must_be_an_integer_of_at_least_two(self, n_samples, message):
+        # one sample is the start alone, which would skip the drift gate:
+        # 16 steps over 50 revolutions drift far past the limit
+        spec = CongruenceSpec("tt", 0.5)
+        wl = worldline(spec, 1.0)
+        e_r, _ = corotating_dyad(wl)
+        span = 50.0 * proper_period(spec, 1.0)
+        with pytest.raises(ValueError, match=f"n_samples must be {message}$"):
+            fw_transport(wl, e_r, span, 16, n_samples=n_samples)
+        with pytest.raises(ConstraintDriftError, match="constraint drift .*too few steps"):
+            fw_transport(wl, e_r, span, 16, n_samples=2)
+        traj = fw_transport(wl, e_r, 1.0, 16, n_samples=np.int64(2))
+        assert traj.taus.tolist() == [0.0, 1.0]
+
+    def test_steps_past_the_float_range_fail_the_drift_gate(self):
+        # h Omega above 1e198: the powers of h Omega in the RK4 map overflow
+        # to inf, never to OverflowError
+        wl = worldline(CongruenceSpec("tt", 0.5), 1.0)
+        e_r, _ = corotating_dyad(wl)
+        with pytest.raises(ConstraintDriftError, match="^constraint drift nan"):
+            fw_transport(wl, e_r, 1e200, 16, n_samples=2)
 
     def test_trajectory_states_carry_events(self):
         # one sample per recorded step, the last one at the end of the span
