@@ -245,6 +245,17 @@ class TestFourVelocity:
         with pytest.raises(DomainError):
             _u_rows(-coords, CongruenceSpec("tt", 1.0))
 
+    @pytest.mark.parametrize("kind", ["gal", "tt"])
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_rows_refuse_a_radius_of_zero(self, kind, zero):
+        from rotframes.congruences import _u_rows
+
+        # the axis itself, not only a negative radius, is off the chart
+        coords = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, zero, 0.0, 0.0]])
+        with pytest.raises(DomainError) as info:
+            _u_rows(coords, CongruenceSpec(kind, 0.5))
+        assert str(info.value) == f"rho must be positive, got {zero}"
+
     def test_light_cylinder_boundary_is_inclusive(self):
         spec = CongruenceSpec("gal", 1.0)
         four_velocity(Event(0.0, 0.999999, 0.0), spec)

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -120,6 +121,16 @@ class TestDyadAndGenerator:
         with pytest.raises(DomainError) as info:
             transport_generator(replace(wls[1], rho=1e-320))
         assert str(info.value) == "transport generator overflows the float range"
+
+    @pytest.mark.parametrize("kind", ["gal", "tt"])
+    def test_c_squared_past_the_float_range(self, kind):
+        # c**2 overflows for c above about 1.34e154: the documented
+        # DomainError, never Python's OverflowError
+        for c in (1.4e154, 1e200, sys.float_info.max):
+            wl = worldline(CongruenceSpec(kind, 0.5, c), 1.0)
+            with pytest.raises(DomainError) as info:
+                transport_generator(wl)
+            assert str(info.value) == "transport generator overflows the float range"
 
     def test_rotation_rate_is_vorticity_plus_shear(self):
         # sqrt(-tr(M^2) / 2) is the spin's rate against a non-rotating
