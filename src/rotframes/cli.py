@@ -23,10 +23,10 @@ mark into exit 3. JSON output is an object
 {"params": ..., "rows": [...], "version": ...} as json.dumps prints it with
 indent=2 and sorted keys: floats print as Python repr, so they round-trip
 exactly, and non-finite values become null. Both formats are rendered a
-block of rows at a time (_render_csv, _render_json). The JSON params
-head fills a %-template cached per shape of the params (_json_head:
-their sorted names and the length of each list value) from one pass of
-json's C encoder over the values, as the rows do (_params_head).
+block of rows at a time (_render_csv, _render_json). Each JSON object,
+the params head and every row, fills the %-template of its layout, built
+once per shape (_json_object: the sorted keys and the length of each list
+value), from one pass of json's C encoder over its values (_fill).
 
 omega, compare and precess each compute their rows with one compute_rows
 call: each distinct model once (congruences._MODEL), every radius of it
@@ -321,62 +321,63 @@ def _render_csv(header: str, sections: list) -> str:
 
 
 @cache
+def _json_object(keys: tuple, depth: int, slot: str | None = None) -> str:
+    """The %-template of an object as json.dumps(indent=2, sort_keys=True)
+    prints it at nesting depth depth. keys holds its sorted (key, length of
+    a list value or None) pairs; each value is a %s slot, the key slot's a
+    %%s slot (see _section_texts)."""
+    indent = "\n" + "  " * (depth + 1)
+    lines = []
+    for key, size in keys:
+        if size is None:
+            value = "%%s" if key == slot else "%s"
+        else:
+            value = "[" + ",".join([indent + "  %s"] * size) + indent + "]" if size else "[]"
+        lines.append(f"{indent}{_json_str(key)}: {value}")
+    return "{" + ",".join(lines) + "\n" + "  " * depth + "}"
+
+
+def _fill(template: str, values: list, null: bool = False) -> str:
+    """template filled from one pass of json's C encoder over values, one
+    token per line (ensure_ascii escapes a newline in a string); null
+    prints the non-finite tokens as null."""
+    text = _JSON_TOKENS.encode(values)[1:-1]
+    if null:
+        text = text.replace("-Infinity", "null").replace("Infinity", "null").replace("NaN", "null")
+    return template % tuple(text.split("\n"))
+
+
+@cache
 def _json_row(field_names: tuple[str, ...], slotted: bool) -> tuple[str, itemgetter]:
-    """The key-sorted %-template of one JSON row of field_names, and the
-    getter of its cells in template order. The kind cell, field 0, of a
-    slotted table is left as a %s slot (see _section_texts)."""
+    """The template of one JSON row of field_names, a slotted table's kind
+    cell (field 0) left as a slot, and the getter of its other cells."""
     order = sorted(range(len(field_names)), key=field_names.__getitem__)
-    row_template = "    {\n      " + ",\n      ".join(
-        _json_str(field_names[i]) + (": %%s" if slotted and i == 0 else ": %s")
-        for i in order) + "\n    }"
+    keys = tuple((field_names[i], None) for i in order)
+    row_template = "    " + _json_object(keys, 2, field_names[0] if slotted else None)
     return row_template, itemgetter(*[i for i in order if i or not slotted])
 
 
 def _json_body(field_names: tuple[str, ...], rows: list, slotted: bool) -> str:
     row_template, cells = _json_row(field_names, slotted)
-    parts = []
-    for block, template in _blocks(rows, row_template, ",\n"):
-        values = list(chain.from_iterable(map(cells, block)))
-        text = _JSON_TOKENS.encode(values)[1:-1]
-        text = text.replace("-Infinity", "null").replace("Infinity", "null")
-        parts.append(template % tuple(text.replace("NaN", "null").split("\n")))
-    return ",\n".join(parts)
-
-
-@cache
-def _json_head(shape: tuple) -> str:
-    """The %-template of the JSON params head for one shape: each param's
-    name, in sorted order, with the length of a list value (None for a
-    scalar). It ends where json.dumps's text for the "params" key does."""
-    lines = []
-    for name, size in shape:
-        if size is None:
-            value = "%s"
-        elif size == 0:
-            value = "[]"
-        else:
-            value = "[\n      " + ",\n      ".join(["%s"] * size) + "\n    ]"
-        lines.append(f"    {_json_str(name)}: {value}")
-    return '{\n  "params": {\n' + ",\n".join(lines) + "\n  }"
+    return ",\n".join([_fill(template, list(chain.from_iterable(map(cells, block))), True)
+                       for block, template in _blocks(rows, row_template, ",\n")])
 
 
 def _params_head(params: dict) -> str:
     """json.dumps({"params": params}, indent=2, sort_keys=True) without its
-    closing brace, for params whose values are scalars or lists of
-    scalars, at least one of them a scalar (every command's command name).
-
-    The values go through one pass of json's C encoder, one token per
-    line, and fill _json_head's template of their shape."""
-    shape, flat = [], []
+    closing brace, NaN and Infinity kept, for params whose values are
+    scalars or lists of scalars, at least one of them a scalar (every
+    command's command name)."""
+    keys, values = [], []
     for name in sorted(params):
         value = params[name]
         if isinstance(value, list):
-            shape.append((name, len(value)))
-            flat += value
+            keys.append((name, len(value)))
+            values += value
         else:
-            shape.append((name, None))
-            flat.append(value)
-    return _json_head(tuple(shape)) % tuple(_JSON_TOKENS.encode(flat)[1:-1].split("\n"))
+            keys.append((name, None))
+            values.append(value)
+    return '{\n  "params": ' + _fill(_json_object(tuple(keys), 1), values)
 
 
 def _render_json(params: dict, field_names: list[str], sections: list) -> str:
@@ -386,11 +387,10 @@ def _render_json(params: dict, field_names: list[str], sections: list) -> str:
 
     indent makes json.dumps use its pure-Python encoder, so the rows
     instead fill a key-sorted %-template (_json_row, built once per field
-    list) one block at a time. A block's values go through one pass of
-    json's C encoder, one token per line (ensure_ascii escapes any newline
-    inside a string). Its non-finite tokens -Infinity, Infinity and NaN
-    become null on the block's text: no string cell can hold them, as the
-    cells are floats, the kinds and the statuses (see _section_texts).
+    list) one block at a time, from one pass of json's C encoder over the
+    block's values (_fill). Its non-finite tokens become null: no string
+    cell can hold them, as the cells are floats, the kinds and the
+    statuses (see _section_texts).
     """
     head = _params_head(params)
     version = _json_str(__version__)

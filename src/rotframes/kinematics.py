@@ -48,12 +48,12 @@ tangent normalized to unit norm (u / c), which keeps the vorticity
 scalar an angular rate per unit proper time for any value of c.
 
 This module owns the rule for which events can be differenced: the
-stencil must stay off the axis and, for gal, inside the light cylinder
-(_stencil_fits). kinematic_sample, vorticity_scalar and
-vorticity_scalars raise DomainError for an event that fails it or for a
-result that is not finite. _scalar_rows, the batch routine behind
-vorticity_scalars and the CLI tables (one call per command), holds the
-rule as one mask over the rows of every field it is given, and gives nan
+stencil must stay off the axis and, for gal, inside the light cylinder.
+One routine, _stencil, holds it as one mask over the rows of every field
+it is given, with each row's step. kinematic_sample, vorticity_scalar
+and vorticity_scalars raise DomainError for an event that fails it
+(_guard_stencil) or for a result that is not finite. _scalar_rows, the batch routine behind
+vorticity_scalars and the CLI tables (one call per command), gives nan
 for a row that fails it or whose result is not finite, marked in place;
 it differences the other rows in passes of at most _PASS events, with
 no gather or scatter where every row fits.
@@ -192,26 +192,31 @@ def _step(rho: np.ndarray) -> np.ndarray:
     return 1e-4 * np.maximum(rho, 1.0)
 
 
-def _stencil_fits(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Which radii keep the whole stencil off the axis (and inside a gal cylinder)."""
+def _stencil(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]):
+    """The rows of xs[k], (n_k, 4) arrays of the field fields[k], stacked;
+    the step of each; which of them have a stencil that stays off the axis
+    and, for gal, inside the light cylinder; and each field's slice."""
+    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
+    rho = x[:, 1]
+    h = _step(rho)
     fits = rho - h > 0.0
-    _inside_cylinder(spec, fits, rho, h)
-    return fits
+    bounds, start = [], 0
+    for field, part in zip(fields, xs):
+        rows = slice(start, start + len(part))
+        if isinstance(field, CongruenceSpec) and field.kind == GAL and field.omega > 0.0:
+            fits[rows] &= (rho[rows] + h[rows]) * field.omega < field.c
+        bounds.append(rows)
+        start = rows.stop
+    return x, h, fits, bounds
 
 
-def _inside_cylinder(spec: FieldLike, fits: np.ndarray, rho: np.ndarray,
-                     h: np.ndarray) -> None:
-    """Clear fits, in place, where the stencil reaches a gal light cylinder."""
-    if isinstance(spec, CongruenceSpec) and spec.kind == GAL and spec.omega > 0.0:
-        fits &= (rho + h) * spec.omega < spec.c
-
-
-def _guard_stencil(spec: FieldLike, rho: np.ndarray, h: np.ndarray) -> None:
-    fits = _stencil_fits(spec, rho, h)
+def _guard_stencil(spec: FieldLike, x: np.ndarray) -> np.ndarray:
+    """The step at each row of x, an (n, 4) array, whose stencils must fit."""
+    _, h, fits, _ = _stencil([spec], [x])
     if fits.all():
-        return
+        return h
     i = int(np.argmin(fits))
-    r, step = float(rho[i]), float(h[i])
+    r, step = float(x[i, 1]), float(h[i])
     if not r - step > 0.0:
         raise DomainError(
             f"difference stencil leaves the chart: rho = {r}, step = {step}"
@@ -262,7 +267,7 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
     groups holds (field, count) pairs, count > 0: the rows of x are the
     events of the first field, then those of the next, and so on. The
     fields share c. h holds one step per row; the stencils must fit (see
-    _stencil_fits), so every radius of them is positive and the metric is
+    _stencil), so every radius of them is positive and the metric is
     built unchecked (c is positive on every field). One call of _fd_matrix
     differences every row (_axes): the metric is evaluated once on all its
     rows, and each field once on its own slice of them. u is u_low / g_a,
@@ -295,9 +300,7 @@ def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
 
 def _at(spec: FieldLike, event: Event) -> _Jet:
     x = event.coords()[None, :]
-    h = _step(x[:, 1])
-    _guard_stencil(spec, x[:, 1], h)
-    return _jet([(spec, 1)], x, h)
+    return _jet([(spec, 1)], x, _guard_stencil(spec, x))
 
 
 def _acceleration_low(jet: _Jet) -> np.ndarray:
@@ -369,7 +372,7 @@ def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
 
     A row is nan where its stencil does not fit (off the chart, or across
     the gal light cylinder) or where a value, the scaled scalar among
-    them, is not finite. One mask over every row holds the stencil rule;
+    them, is not finite. One mask over every row (_stencil) holds the rule;
     the rows that fit, of every field in turn, are differenced in passes
     of at most _PASS events, one _fd_matrix call each, in which each field
     is called once on its rows in the pass. Where every row fits, no row
@@ -377,16 +380,7 @@ def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
     """
     if any(field.c != fields[0].c for field in fields):
         raise ValueError("fields differenced together must share c")
-    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-    rho = x[:, 1]
-    h = _step(rho)
-    fits = rho - h > 0.0  # _stencil_fits, for every field's rows at once
-    bounds, start = [], 0
-    for field, part in zip(fields, xs):
-        rows = slice(start, start + len(part))
-        _inside_cylinder(field, fits[rows], rho[rows], h[rows])
-        bounds.append(rows)
-        start = rows.stop
+    x, h, fits, bounds = _stencil(fields, xs)
     every = bool(fits.all())
     if every:
         counts = [len(part) for part in xs]
@@ -424,7 +418,7 @@ def vorticity_scalars(spec: FieldLike, coords: np.ndarray) -> np.ndarray:
     the gal light cylinder, or if a value overflows.
     """
     x = np.asarray(coords, dtype=float).reshape(-1, 4)
-    _guard_stencil(spec, x[:, 1], _step(x[:, 1]))
+    _guard_stencil(spec, x)
     return _finite(_scalar_rows([spec], [x])[0])
 
 

@@ -170,8 +170,7 @@ def _generator(wl: Worldline, g: np.ndarray) -> np.ndarray:
     """transport_generator from the metric diagonal g at wl.rho, for a
     caller that holds numpy's overflow and invalid warnings off."""
     rho, u, a, c = wl.rho, wl.u, wl.a, wl.spec.c
-    # numpy's square is inf past the float range, where Python's c**2 raises
-    # OverflowError; both round the same
+    # np.float64(c) ** 2 rounds as c**2 does, but gives inf past the float range
     m = (a[:, None] * (g * u) - u[:, None] * (g * a)) / np.float64(c) ** 2
     _, u_rho, u_phi, _ = u.tolist()
     # (1 / rho) u, not u / rho: the last bits differ, and reach the angle

@@ -611,8 +611,7 @@ class TestRadialStencil:
             _ALL_AXES,
             _fd_matrix,
             _scalar_rows,
-            _stencil_fits,
-            _step,
+            _stencil,
         )
 
         rng = np.random.default_rng([self.SEED, len(kind)])
@@ -636,9 +635,8 @@ class TestRadialStencil:
             def lowered(y, spec=spec):
                 return metric_diag(y[:, 1], spec.c) * _u_rows(y, spec)
 
-            x = e.coords()[None, :]
-            h = _step(x[:, 1])
-            if not _stencil_fits(spec, x[:, 1], h)[0]:
+            x, h, fits, _ = _stencil([spec], [e.coords()[None, :]])
+            if not fits[0]:
                 continue
             with np.errstate(all="ignore"):
                 d1, f1 = _fd_matrix(lowered, x, h, (RHO,))
