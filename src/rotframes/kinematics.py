@@ -204,7 +204,8 @@ def _stencil(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]):
     for field, part in zip(fields, xs):
         rows = slice(start, start + len(part))
         if isinstance(field, CongruenceSpec) and field.kind == GAL and field.omega > 0.0:
-            fits[rows] &= (rho[rows] + h[rows]) * field.omega < field.c
+            fit = fits[rows]  # a view: cleared in place
+            fit &= (rho[rows] + h[rows]) * field.omega < field.c
         bounds.append(rows)
         start = rows.stop
     return x, h, fits, bounds

@@ -31,7 +31,6 @@ import hashlib
 import io
 import json
 import math
-import os
 import sys
 import warnings
 from pathlib import Path
@@ -59,31 +58,17 @@ def _digest(item) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-@contextlib.contextmanager
-def _environ(**values):
-    """Set (a str) or unset (None) each variable, and restore them after."""
-    saved = {name: os.environ.get(name) for name in values}
-
-    def put(items):
-        for name, value in items:
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-    put(values.items())
-    try:
-        yield
-    finally:
-        put(saved.items())
-
-
 def _run(argv, perturb=None) -> dict:
     """main(argv)'s exit code, stdout and stderr, warnings raised as errors."""
     out, err = io.StringIO(), io.StringIO()
-    with _environ(**{PERTURB_ENV: perturb, "COLUMNS": "80"}), warnings.catch_warnings(), \
+    with pytest.MonkeyPatch.context() as mp, warnings.catch_warnings(), \
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         warnings.simplefilter("error")
+        mp.setenv("COLUMNS", "80")
+        if perturb is None:
+            mp.delenv(PERTURB_ENV, raising=False)
+        else:
+            mp.setenv(PERTURB_ENV, perturb)
         code = main(list(argv))
     return {"argv": argv, "perturb": perturb, "code": code,
             "stdout": out.getvalue(), "stderr": err.getvalue()}
