@@ -54,9 +54,9 @@ parser's full parse. argparse writes every message either way, with the
 bytes a full parse gives.
 
 ROTFRAMES_SELF_CHECK_PERTURB, set to a finite number x, multiplies every
-numerically computed vorticity by (1 + x), a product past the float
-range marking its row domain_error; any other value that is not blank is
-a usage error. It exists to fault-inject the --self-check gate in tests.
+numeric vorticity by (1 + x) in compute_rows, its one reader; a product
+past the float range marks its row domain_error. Any other value that
+is not blank is a usage error. It fault-injects --self-check in tests.
 """
 
 from __future__ import annotations
@@ -178,10 +178,10 @@ def _row(spec: CongruenceSpec, rho: float, lam: float, scalar: float) -> ReportR
     """The row of spec at rho with the numeric scalar scalar; its closed-form
     columns come from one precession_per_revolution report. It is marked
     light_cylinder where that raises LightCylinderError, and domain_error
-    where it raises another DomainError or where scalar is nan."""
+    where it raises another DomainError or where scalar is not finite."""
     try:
         report = precession_per_revolution(spec, rho)
-        status = "domain_error" if math.isnan(scalar) else "ok"
+        status = "ok" if math.isfinite(scalar) else "domain_error"
     except LightCylinderError:
         status = "light_cylinder"
     except DomainError:
@@ -193,8 +193,8 @@ def _row(spec: CongruenceSpec, rho: float, lam: float, scalar: float) -> ReportR
                      report.speed, report.dtau_dt, report.delta_phi, report.net_angle)
 
 
-def compute_rows(kinds: list[str], rhos, omega: float, c: float,
-                 perturb: float = 0.0) -> list[tuple[str, list[ReportRow]]]:
+def compute_rows(kinds: list[str], rhos, omega: float,
+                 c: float) -> list[tuple[str, list[ReportRow]]]:
     """One (kind, rows) section per kind, in order; domain failures become
     marked rows.
 
@@ -203,8 +203,8 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
     kind: the renderers format that list once and write it under each
     kind (an mtt section is the tt section with its kind cell rewritten).
     One kinematics._scalar_rows call differences every radius of every
-    model, the scalars multiplied by (1 + perturb): nan where the stencil
-    does not fit or a value, the perturbed scalar among them, is not finite.
+    model, nan where the stencil does not fit or a value is not finite, and
+    the rows take each scalar times (1 + x), x read first from PERTURB_ENV.
 
     A table of fewer than _ROWS_FROM radii then builds and marks each row
     in one place, _row, from one precession_per_revolution report. A
@@ -213,21 +213,23 @@ def compute_rows(kinds: list[str], rhos, omega: float, c: float,
     depends on its table. The pass has a fixed cost that per-row reports
     do not: the break-even measured 10 to 12 rows, hence _ROWS_FROM.
     """
+    factor = 1.0 + _perturbation()
     rho = np.array(rhos, dtype=float)
     rhos = rho.tolist()
     specs = [CongruenceSpec(model, omega, c)
              for model in dict.fromkeys(_MODEL[kind] for kind in kinds)]
     x = np.zeros((len(rhos), 4))
     x[:, 1] = rho
-    scalars = _scalar_rows(specs, [x] * len(specs), 1.0 + perturb)
+    scalars = _scalar_rows(specs, [x] * len(specs))
     if len(rhos) < _ROWS_FROM:
         lams = [_rapidity(r, omega, c) for r in rhos]
-        computed = {spec.kind: [_row(spec, *row) for row in zip(rhos, lams, s.tolist())]
+        computed = {spec.kind: [_row(spec, r, lam, v * factor)
+                                for r, lam, v in zip(rhos, lams, s.tolist())]
                     for spec, s in zip(specs, scalars)}
     else:
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lams = _rapidity_rows(rho, rho.min(), omega, c).tolist()
-            computed = {spec.kind: _array_rows(spec, rho, rhos, lams, s)
+            computed = {spec.kind: _array_rows(spec, rho, rhos, lams, s * factor)
                         for spec, s in zip(specs, scalars)}
     return [(kind, computed[_MODEL[kind]]) for kind in kinds]
 
@@ -241,7 +243,7 @@ def _array_rows(spec: CongruenceSpec, rho: np.ndarray, rhos: list, lams: list,
     The closed-form columns of the plain rows (congruences._fixed_point_rows)
     and their rel_err, delta_phi and net come from one numpy pass. A gal
     row at or past the light cylinder is marked from its mask, without a
-    report, and every other row, a nan scalar among them, is built by _row.
+    report; _row builds every other row, a non-finite scalar among them.
     """
     fp = _fixed_point_rows(rho, spec)
     scalars = scalar.tolist()
@@ -252,18 +254,17 @@ def _array_rows(spec: CongruenceSpec, rho: np.ndarray, rhos: list, lams: list,
                   delta_phi.tolist(), (delta_phi + 2.0 * math.pi).tolist(), repeat("ok"))
     # ReportRow._make without its Python-level call per row
     rows = list(map(tuple.__new__, repeat(ReportRow), columns))
-    (others,) = (~fp.plain | np.isnan(scalar)).nonzero()
+    (others,) = (~(fp.plain & np.isfinite(scalar))).nonzero()
     for i, outside in zip(others.tolist(), fp.light_cylinder[others].tolist()):
         rows[i] = (ReportRow(spec.kind, rhos[i], lams[i], *_NANS, "light_cylinder")
                    if outside else _row(spec, rhos[i], lams[i], scalars[i]))
     return rows
 
 
-def compute_row(kind: str, rho: float, omega: float, c: float,
-                perturb: float = 0.0) -> ReportRow:
+def compute_row(kind: str, rho: float, omega: float, c: float) -> ReportRow:
     """Evaluate one grid point of one kind; a batch of one of compute_rows,
     its row relabelled with the kind."""
-    _, rows = compute_rows([kind], [rho], omega, c, perturb)[0]
+    _, rows = compute_rows([kind], [rho], omega, c)[0]
     return rows[0]._replace(kind=kind)
 
 
@@ -469,15 +470,14 @@ def cmd_omega(args) -> int:
     if args.steps > MAX_SWEEP_STEPS:
         raise UsageError(f"--steps must be at most {MAX_SWEEP_STEPS}")
     grid = np.linspace(args.rho_min, args.rho_max, args.steps)
-    sections = compute_rows(kinds, grid, args.omega, args.c, _perturbation())
+    sections = compute_rows(kinds, grid, args.omega, args.c)
     params = _params(args, "omega", kind=kinds, rho_min=args.rho_min,
                      rho_max=args.rho_max, steps=args.steps)
     return _emit_report(args, params, sections)
 
 
 def cmd_compare(args) -> int:
-    sections = compute_rows(list(KINDS), [args.rho], args.omega, args.c,
-                            _perturbation())
+    sections = compute_rows(list(KINDS), [args.rho], args.omega, args.c)
     return _emit_report(args, _params(args, "compare", rho=args.rho), sections)
 
 
@@ -486,7 +486,7 @@ def cmd_precess(args) -> int:
     if args.fw_check is not None and not 16 <= args.fw_check <= 2**53:
         raise UsageError("--fw-check needs 16 to 2**53 steps")
     spec = CongruenceSpec(args.kind, args.omega, args.c)
-    row = compute_row(args.kind, args.rho, args.omega, args.c, _perturbation())
+    row = compute_row(args.kind, args.rho, args.omega, args.c)
     if row.status != "ok":
         # single-point command: a closed-form DomainError (the light
         # cylinder among them) reaches the user with its own message

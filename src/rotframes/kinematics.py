@@ -50,13 +50,12 @@ scalar an angular rate per unit proper time for any value of c.
 This module owns the rule for which events can be differenced: the
 stencil must stay off the axis and, for gal, inside the light cylinder.
 One routine, _stencil, holds it as one mask over the rows of every field
-it is given, with each row's step. kinematic_sample, vorticity_scalar
-and vorticity_scalars raise DomainError for an event that fails it
-(_guard_stencil) or for a result that is not finite. _scalar_rows, the batch routine behind
-vorticity_scalars and the CLI tables (one call per command), gives nan
-for a row that fails it or whose result is not finite, marked in place;
-it differences the other rows in passes of at most _PASS events, with
-no gather or scatter where every row fits.
+it is given, with each row's step. _scalar_rows, the batch routine
+behind vorticity_scalars and the CLI tables, gives nan for a row that
+fails it or whose result is not finite, and differences the other rows
+in passes of at most _PASS events, with no gather or scatter where every
+row fits. kinematic_sample and vorticity_scalars raise DomainError for
+such a row instead, a stencil that does not fit first (_guard_stencil).
 
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
@@ -366,14 +365,13 @@ def _quiet(fn):
 
 
 @_quiet
-def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
-                 scale: float = 1.0) -> list[np.ndarray]:
-    """Vorticity scalar, times scale, at each row of xs[k], an (n_k, 4)
-    coordinate array, for the field fields[k]; the fields share c.
+def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Vorticity scalar at each row of xs[k], an (n_k, 4) coordinate array,
+    for the field fields[k]; the fields share c.
 
     A row is nan where its stencil does not fit (off the chart, or across
-    the gal light cylinder) or where a value, the scaled scalar among
-    them, is not finite. One mask over every row (_stencil) holds the rule;
+    the gal light cylinder) or where a value, the scalar among them, is
+    not finite. One mask over every row (_stencil) holds the rule;
     the rows that fit, of every field in turn, are differenced in passes
     of at most _PASS events, one _fd_matrix call each, in which each field
     is called once on its rows in the pass. Where every row fits, no row
@@ -400,8 +398,6 @@ def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray],
             first += count
         jet = _jet(groups, x[a:b], h[a:b])
         w = _norm_rows(jet, _eps_contract(jet, jet.du))
-        if scale != 1.0:
-            w *= scale
         w[~(np.isfinite(w) & np.isfinite(jet.du).all(axis=(1, 2)))] = np.nan
         scalar[a:b] = w
     out = scalar
@@ -416,11 +412,14 @@ def vorticity_scalars(spec: FieldLike, coords: np.ndarray) -> np.ndarray:
     """Vorticity scalar at each row (t, rho, phi, z) of an (n, 4) array.
 
     Raises DomainError if any row's stencil leaves the chart or crosses
-    the gal light cylinder, or if a value overflows.
+    the gal light cylinder (a user VelocityField has then been called on
+    the rows that fit), or else if a value overflows.
     """
     x = np.asarray(coords, dtype=float).reshape(-1, 4)
-    _guard_stencil(spec, x)
-    return _finite(_scalar_rows([spec], [x])[0])
+    (scalar,) = _scalar_rows([spec], [x])
+    if np.isnan(scalar).any():
+        _guard_stencil(spec, x)
+    return _finite(scalar)
 
 
 def vorticity_scalar(spec: FieldLike, event: Event) -> float:

@@ -639,19 +639,19 @@ class TestRowsDoNotDependOnTheirTable:
         return rng.permutation(np.concatenate([forced, seeded])).tolist()
 
     @pytest.mark.parametrize("case", CASES)
-    def test_rows_equal_compute_row_bitwise(self, case):
+    def test_rows_equal_compute_row_bitwise(self, case, monkeypatch):
         omega, c, perturb, _, _ = self.CASES[case]
+        monkeypatch.setenv(cli.PERTURB_ENV, repr(perturb))
         rng = np.random.default_rng(sorted(self.CASES).index(case))
         single, statuses = {}, set()
         for size in (cli._ROWS_FROM - 1, cli._ROWS_FROM, 4 * cli._ROWS_FROM):
             rhos = self._radii(case, size, rng)
-            for kind, rows in cli.compute_rows(["gal", "tt", "mtt"], rhos, omega, c,
-                                               perturb):
+            for kind, rows in cli.compute_rows(["gal", "tt", "mtt"], rhos, omega, c):
                 assert [_bits([row.rho]) for row in rows] == [_bits([r]) for r in rhos]
                 for rho, row in zip(rhos, rows):
                     if (kind, rho) not in single:
                         single[kind, rho] = _bits(
-                            cli.compute_row(kind, rho, omega, c, perturb)[1:])
+                            cli.compute_row(kind, rho, omega, c)[1:])
                     assert _bits(row[1:]) == single[kind, rho], (kind, size, rho)
                     statuses.add(row.status)
         assert statuses - {"ok"}

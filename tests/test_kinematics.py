@@ -445,6 +445,43 @@ class TestOneJacobian:
             vorticity_scalars(spec, [[0.0, 1e-5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         assert vorticity_scalars(spec, np.zeros((0, 4))).shape == (0,)
 
+    def test_one_stencil_per_call_where_every_row_fits(self, monkeypatch):
+        from rotframes import kinematics
+
+        calls = []
+        real = kinematics._stencil
+
+        def spy(fields, xs):
+            calls.append(len(fields))
+            return real(fields, xs)
+
+        monkeypatch.setattr(kinematics, "_stencil", spy)
+        spec = CongruenceSpec("gal", 0.5)
+        coords = [[0.0, 0.5, 0.0, 0.0], [0.0, 1.5, 0.0, 0.0]]
+        for field in (spec, _user(spec)):
+            calls.clear()
+            vorticity_scalars(field, coords)
+            vorticity_scalar(field, Event(0.0, 1.0, 0.0, 0.0))
+            assert calls == [1, 1]
+        # a row that does not fit: the stencil is built again to name it
+        calls.clear()
+        with pytest.raises(DomainError, match="light cylinder"):
+            vorticity_scalars(spec, [[0.0, 1.99995, 0.0, 0.0]])
+        assert calls == [1, 1]
+
+    def test_user_field_runs_on_the_rows_that_fit_before_the_stencil_error(self):
+        spec = CongruenceSpec("tt", 0.5)
+        seen = []
+
+        def u(e):
+            seen.append(e.rho)
+            return four_velocity(e, spec).components
+
+        with pytest.raises(DomainError, match="chart"):
+            vorticity_scalars(VelocityField(u), [[0.0, 1e-5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
+        # the one row that fits, differenced along every axis: 17 evaluations
+        assert len(seen) == 17 and min(seen) > 0.99
+
 
 class TestGeometry:
     """The explicit metric terms against the Christoffel-symbol formulas."""
