@@ -14,7 +14,7 @@ import pytest
 import rotframes
 from rotframes import cli
 from rotframes.cli import CSV_HEADER, main
-from rotframes.errors import DomainError
+from rotframes.errors import DegenerateError, DomainError
 
 DATA = Path(__file__).parent / "data"
 
@@ -788,6 +788,16 @@ class TestRefusedClosedForms:
         assert parse_csv(out)[1][0]["status"] == "domain_error"
 
 
+class TestNoRevolution:
+    @pytest.mark.parametrize("kind", ["gal", "tt"])
+    @pytest.mark.parametrize("size", [1, cli._ROWS_FROM - 1, cli._ROWS_FROM, 40])
+    def test_omega_zero_is_degenerate_on_both_paths(self, kind, size):
+        # the library call: the parser refuses --omega 0 for every table
+        rhos = np.linspace(0.1, 1.5, size).tolist()
+        with pytest.raises(DegenerateError, match="^no revolution at omega = 0$"):
+            cli.compute_rows([kind], rhos, 0.0, 1.0)
+
+
 class TestRenderOnce:
     """Kinds of one model share one rendered body: an mtt section is the tt
     body with its kind cell rewritten."""
@@ -1018,14 +1028,14 @@ class TestNegativeExponent:
         assert "expected one argument" in err
 
 
-def _fresh_interpreter(argv, cwd):
+def _fresh_interpreter(argv, cwd, module="rotframes"):
     """(exit code, stdout, stderr) of argv run first in a new interpreter."""
     env = {
         "PATH": os.environ.get("PATH", ""),
         "PYTHONPATH": str(Path(rotframes.__file__).resolve().parents[1]),
         "COLUMNS": "80",
     }
-    proc = subprocess.run([sys.executable, "-m", "rotframes", *argv], cwd=cwd,
+    proc = subprocess.run([sys.executable, "-m", module, *argv], cwd=cwd,
                           env=env, capture_output=True, text=True)
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -1047,6 +1057,25 @@ class TestParserReuse:
         assert len(built) == 1
         assert cli._parser is built[0]
         assert real_build() is not real_build()
+
+    @pytest.mark.parametrize("argv", [["compare", "--rho", "1", "--omega", "0.5"],
+                                      ["omega", "--bogus"], []])
+    def test_main_without_argv_parses_sys_argv(self, capsys, monkeypatch, argv):
+        # the console script calls main() bare: a subcommand there must
+        # take the subcommand's parser too, not the top parser's full parse
+        monkeypatch.setattr(cli, "_parser", cli.build_parser())
+        full = []
+        real = cli._parser.parse_args
+        monkeypatch.setattr(cli._parser, "parse_args", lambda a: full.append(a) or real(a))
+        monkeypatch.setattr(sys, "argv", ["rotframes", *argv])
+        from_sys = run(capsys, None)
+        assert full == ([] if argv else [[]])
+        assert from_sys == run(capsys, argv)
+        assert from_sys[0] == (cli.EXIT_OK if argv[:1] == ["compare"] else cli.EXIT_USAGE)
+
+    def test_the_cli_module_runs_as_a_script(self, capsys, tmp_path):
+        argv = ["compare", "--rho", "1", "--omega", "0.5"]
+        assert _fresh_interpreter(argv, tmp_path, "rotframes.cli") == run(capsys, argv)
 
     def test_outputs_match_a_fresh_interpreter(self, capsys, monkeypatch, tmp_path):
         # usage text wraps at the terminal width: pin it on both sides

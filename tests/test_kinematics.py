@@ -859,6 +859,19 @@ class TestOverflow:
             else:
                 assert proper_time_rate(lam, spec) > 0.0
 
+    def test_a_jacobian_past_the_float_range_is_refused(self):
+        # u^rho jumps by 2e308 at rho = 1, so d_rho u_rho is not finite
+        # there; the scalar never reads that entry, but the row is refused
+        spec = CongruenceSpec("tt", 0.5)
+
+        def u(e):
+            v = four_velocity(e, spec).components.copy()
+            v[RHO] = 1e308 if e.rho > 1.0 else -1e308
+            return v
+
+        with pytest.raises(DomainError, match="overflow"):
+            vorticity_scalars(VelocityField(u), [[0.0, 1.0, 0.0, 0.0]])
+
     def test_scalar_holds_until_the_closed_form_overflows(self):
         # w.w would overflow from rapidity ~177; the norm is scaled exactly.
         # kinematic_sample stops at ~237, where w_ab ~ e^(3 lam) / 8 overflows.

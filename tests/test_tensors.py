@@ -156,3 +156,15 @@ def test_metric_is_covariantly_constant():
 def test_four_vector_validation():
     with pytest.raises(ValueError):
         FourVector([1.0, 2.0, 3.0])
+
+
+def test_levi_civita_is_read_only():
+    with pytest.raises(ValueError):
+        LEVI_CIVITA[0, 1, 2, 3] = -1.0
+    assert LEVI_CIVITA[0, 1, 2, 3] == 1.0
+
+
+def test_four_vector_stores_a_float_array():
+    v = FourVector([1, 2, 3, 4])
+    assert isinstance(v.components, np.ndarray) and v.components.dtype == np.float64
+    assert v.components.tolist() == [1.0, 2.0, 3.0, 4.0]
