@@ -322,6 +322,13 @@ class TestPrecess:
             assert (code, out) == (64, ""), point
             assert err == "rotframes: error: --fw-check needs 16 to 2**53 steps\n"
 
+    def test_fw_check_step_range_includes_its_edges(self, capsys):
+        # 16 steps drift past the limit, a domain error and not a usage one
+        for steps, expected in (("16", 3), (str(2**53), 0)):
+            code, _, _ = run(capsys, ["precess", "--kind", "gal", "--rho", "1",
+                                      "--omega", "0.5", "--fw-check", steps])
+            assert code == expected, steps
+
 
 class TestSweepSize:
     @pytest.mark.parametrize("steps", [str(10**15), "10" * 20])
@@ -334,6 +341,17 @@ class TestSweepSize:
         )
         assert code == 64 and out == ""
         assert err == "rotframes: error: --steps must be at most 100000\n"
+
+    def test_steps_at_the_cap_are_a_sweep(self, capsys, monkeypatch):
+        # the cap lowered to a size a test can run
+        monkeypatch.setattr(cli, "MAX_SWEEP_STEPS", 4)
+        argv = ["omega", "--kind", "gal", "--omega", "0.5", "--rho-min", "0.1",
+                "--rho-max", "1", "--steps"]
+        code, out, _ = run(capsys, argv + ["4"])
+        assert code == 0 and len(out.splitlines()) == 5
+        code, out, err = run(capsys, argv + ["5"])
+        assert code == 64 and out == ""
+        assert err == "rotframes: error: --steps must be at most 4\n"
 
 
 class TestCompare:
@@ -698,6 +716,24 @@ class TestRowsDoNotDependOnTheirTable:
                 plain.add(bool(fp.plain[i]))
         assert (True in plain) == (case != "tiny_omega")
         assert (False in plain) == (case in self.FALLBACK)
+
+
+    @pytest.mark.parametrize("rho, omega, c", [
+        # rho is the smallest normal float
+        (sys.float_info.min, 1e10, 0.1),
+        # the tt speed c tanh(lam) is exactly the smallest normal float
+        (0.01, sys.float_info.min / 0.01, 0.1),
+    ])
+    def test_plain_rows_at_the_smallest_normal_float(self, rho, omega, c):
+        # there the period's ordinary form and its fallback differ in the
+        # last bit: the array pass and the report both take the ordinary one
+        from rotframes.congruences import _fixed_point_rows
+
+        spec = rotframes.CongruenceSpec("tt", omega, c)
+        fp = _fixed_point_rows(np.array([rho]), spec)
+        report = rotframes.precession_per_revolution(spec, rho)
+        assert fp.plain[0]
+        assert _bits([col[0] for col in fp[:4]]) == _bits(report[4:8])
 
 
 class TestModelReuse:

@@ -130,6 +130,35 @@ class TestTTMap:
         assert (out.t, out.rho, out.z) == (t * math.cosh(rapidity(rho, spec)), rho, 0.0)
 
     @pytest.mark.parametrize("inverse", [False, True])
+    def test_phi_where_the_ordinary_form_overflows_keeps_phi(self, inverse):
+        # as above, with phi' = phi cosh(lam) - t c sinh(lam) / rho for a
+        # phi that is not 0 and a cosh(lam) that is not 1
+        rho, omega, c, t, phi = 0.5, 0.1, 1.0, 1.7e308, 1e306
+        spec = CongruenceSpec("tt", omega, c)
+        out = (tt_inverse if inverse else tt_map)(Event(t, rho, phi, 0.0), spec)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c) * (-1 if inverse else 1)
+            sinh = _sinh_40(lam)
+            expected = float(Decimal(phi) * (sinh * sinh + 1).sqrt()
+                             - Decimal(t) * Decimal(c) * sinh / Decimal(rho))
+        assert out.phi == pytest.approx(expected, rel=4e-16)
+
+    @pytest.mark.parametrize("inverse", [False, True])
+    def test_t_where_the_ordinary_form_overflows_keeps_t(self, inverse):
+        # as below, with the t cosh(lam) term as large as the phi term
+        rho, omega, c, t, phi = 1.0, 1e-310, 1e-310, 4.0, -1e-310
+        spec = CongruenceSpec("tt", omega, c)
+        out = (tt_inverse if inverse else tt_map)(Event(t, rho, phi, 0.0), spec)
+        with localcontext() as ctx:
+            ctx.prec = 40
+            lam = Decimal(rho) * Decimal(omega) / Decimal(c) * (-1 if inverse else 1)
+            sinh = _sinh_40(lam)
+            expected = float(Decimal(t) * (sinh * sinh + 1).sqrt()
+                             - Decimal(phi) * Decimal(rho) / Decimal(c) * sinh)
+        assert out.t == pytest.approx(expected, rel=4e-16)
+
+    @pytest.mark.parametrize("inverse", [False, True])
     @pytest.mark.parametrize("rho,omega,c,t,phi", [
         (1.0, 1e-310, 1e-310, 1.0, 1e-10), (2.0, 1e-310, 1e-310, -3.0, -1e-12),
         (1.0, 5e-324, 5e-324, 1.0, 1e-300), (4.0, 1e-310, 1e-309, 0.5, -2e-8),
@@ -498,6 +527,19 @@ class TestSpeedAndTiming:
         assert rapidity(rho, spec) == pytest.approx(float(lam), rel=2.3e-16, abs=0.0)
         assert omega_closed_form(rho, spec) == pytest.approx(float(vorticity), rel=5e-16,
                                                              abs=0.0)
+
+    def test_rapidity_forms_a_product_of_exactly_the_smallest_normal(self):
+        # rho * omega rounds to the smallest normal float: the rule takes
+        # rho * omega / c there (the mantissa route would give another last
+        # bit), and the rows take the same route as the single radius
+        from rotframes.congruences import _rapidity_rows
+
+        rho, c = 3e-100, 1.1
+        omega = sys.float_info.min / rho
+        assert rho * omega == sys.float_info.min
+        lams = [rho * omega / c, 2.0 * rho * omega / c]
+        assert rapidity(rho, CongruenceSpec("tt", omega, c)) == lams[0]
+        assert _rapidity_rows(np.array([rho, 2.0 * rho]), rho, omega, c).tolist() == lams
 
     @pytest.mark.parametrize("kind", ["tt", "mtt"])
     def test_closed_forms_where_rho_omega_overflows(self, kind):

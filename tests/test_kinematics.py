@@ -445,6 +445,24 @@ class TestOneJacobian:
             vorticity_scalars(spec, [[0.0, 1e-5, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0]])
         assert vorticity_scalars(spec, np.zeros((0, 4))).shape == (0,)
 
+    def test_stencils_that_end_exactly_on_the_axis_or_the_cylinder(self):
+        from rotframes.cli import compute_rows
+
+        # rho = 1e-4 is the step, so the stencil's inner point is the axis;
+        # at 1.9998000199980002, (rho + step) * omega is c exactly
+        edge = 1.9998000199980002
+        assert (edge + 1e-4 * edge) * 0.5 == 1.0
+        for kind, rho, where in (("tt", 1e-4, "chart"), ("gal", 1e-4, "chart"),
+                                 ("gal", edge, "light cylinder")):
+            spec = CongruenceSpec(kind, 0.5)
+            with pytest.raises(DomainError, match=where):
+                vorticity_scalars(spec, [[0.0, rho, 0.0, 0.0]])
+            with pytest.raises(DomainError, match=where):
+                kinematic_sample(spec, Event(0.0, rho, 0.0))
+        statuses = [[row.status for row in rows]
+                    for _, rows in compute_rows(["gal", "tt"], [1e-4, edge], 0.5, 1.0)]
+        assert statuses == [["domain_error", "domain_error"], ["domain_error", "ok"]]
+
     def test_one_stencil_per_call_where_every_row_fits(self, monkeypatch):
         from rotframes import kinematics
 
@@ -752,6 +770,24 @@ class TestScalarRows:
         assert np.isnan(_scalar_rows([spec], [x[1:4]])[0]).all()
         assert _scalar_rows([spec], [np.zeros((0, 4))])[0].shape == (0,)
         assert jacobians == []
+
+    def test_a_field_without_a_row_that_fits_is_left_out_of_the_pass(self):
+        from rotframes.kinematics import _scalar_rows
+
+        spec = CongruenceSpec("tt", 0.5)
+        calls = []
+
+        def u(e):
+            calls.append(e)
+            return four_velocity(e, spec).components
+
+        x = np.zeros((3, 4))
+        x[:, 1] = [0.5, 1.0, 1.5]
+        off_chart = np.zeros((2, 4))
+        off_chart[:, 1] = [1e-5, 2e-5]
+        user_out, spec_out = _scalar_rows([VelocityField(u), spec], [off_chart, x])
+        assert np.isnan(user_out).all() and calls == []
+        assert spec_out.tolist() == _scalar_rows([spec], [x])[0].tolist()
 
     def test_mixed_fields_equal_the_per_field_calls_bitwise(self, jacobians):
         from rotframes.kinematics import _scalar_rows

@@ -34,6 +34,12 @@ def test_metric_rejects_bad_inputs():
     assert str(info.value) == "rho must be positive, got -1.0"
 
 
+def test_metric_refuses_a_radius_of_zero():
+    for rho in (0.0, -0.0, [1.0, 0.0]):
+        with pytest.raises(DomainError, match="rho must be positive"):
+            metric_diag(rho, 1.0)
+
+
 @pytest.mark.parametrize("rho", [0.1, 0.5, 1.0, 2.0, 10.0])
 @pytest.mark.parametrize("c", [1.0, 2.0, 3e8])
 def test_metric_inverse_consistency(rho, c):

@@ -379,6 +379,20 @@ class TestTransport:
             e_r, _ = corotating_dyad(wl)
             fw_transport(wl, e_r, 1.0, steps=8)
 
+    def test_orthogonality_tolerance_scales_with_c_and_the_spin(self):
+        # |S.u| is held to 1e-9 c |S|: at c = 100 and |S| = 1, an S.u of
+        # 1e-8 passes and one of 1e-6 does not
+        c = 100.0
+        wl = worldline(CongruenceSpec("gal", 0.005, c), 1.0)
+        for s_dot_u, passes in ((1e-8, True), (1e-6, False)):
+            # only g_tt u^t S^t enters S.u, as u^rho = u^z = 0 and S^phi = 0
+            s0 = np.array([s_dot_u / (c * c * wl.u[0]), 1.0, 0.0, 0.0])
+            if passes:
+                fw_transport(wl, s0, 1.0, 256)
+            else:
+                with pytest.raises(ConstraintDriftError, match="not orthogonal"):
+                    fw_transport(wl, s0, 1.0, 256)
+
     def test_overflowed_samples_fail_the_drift_gate(self):
         # h Omega far past RK4's stability bound: the samples overflow to nan
         spec = CongruenceSpec("tt", 14.0)
