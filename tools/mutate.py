@@ -28,14 +28,15 @@ Usage:
     python tools/mutate.py --ops swap --sample 40 --seed 7 --out swap.json
 
 --sample N runs N mutants drawn with random.Random(--seed); without it
-every mutant runs, and the seed is only recorded. --workers defaults to
-os.cpu_count() and never exceeds it; each worker owns one copy.
+every mutant runs, and the seed is only recorded. One worker runs per CPU
+(os.cpu_count()), each on its own copy.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import itertools
 import json
 import os
 import queue
@@ -125,12 +126,13 @@ def mutants(name: str, text: str, ops: set[str]) -> list[dict]:
     """Every mutant of the module name with source text: its site and
     mutated source."""
     plain = ast.unparse(ast.parse(text))
-    count = sum(1 for _ in _sites(ast.parse(text), ops))
     found = []
-    for k in range(count):
+    for k in itertools.count():
         tree = ast.parse(text)  # a fresh tree per mutant
-        node, operator, detail = next(site for j, site in enumerate(_sites(tree, ops))
-                                      if j == k)
+        site = next(itertools.islice(_sites(tree, ops), k, None), None)
+        if site is None:
+            break
+        node, operator, detail = site
         segment = ast.get_source_segment(text, node) or ""
         if isinstance(node, ast.Compare):  # the one comparison of a chain
             operands = [node.left, *node.comparators][detail:detail + 2]
@@ -190,12 +192,11 @@ def main(argv=None) -> int:
     parser.add_argument("--sample", type=int, default=None,
                         help="run this many mutants, drawn with --seed")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     args = parser.parse_args(argv)
     ops = {op.strip() for op in args.ops.split(",") if op.strip()}
     if not ops or ops - {"swap", "force", "delete"}:
         parser.error(f"unknown operators in --ops {args.ops!r}")
-    workers = max(1, min(args.workers, os.cpu_count() or 1))
+    workers = os.cpu_count() or 1
 
     # the sources as read now: the working tree may change during the run
     original = {path.relative_to(ROOT).as_posix(): path.read_text(encoding="utf-8")
