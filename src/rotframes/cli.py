@@ -29,14 +29,16 @@ once per shape (_json_object: the sorted keys and the length of each list
 value), from one pass of json's C encoder over its values (_fill).
 
 omega, compare and precess each compute their rows with one compute_rows
-call: each distinct model once (congruences._MODEL), every radius of it
-differenced in one kinematics._scalar_rows call, whose passes are bounded
-in size. A table of _ROWS_FROM radii or more takes the closed-form
-columns of its ordinary rows from arrays, one numpy pass per model
-(_array_rows); a shorter one, such as the one-row tables of compare and
-precess, builds and marks each row in one place, _row, whose bits the
-array path keeps. Kinds of one model share one rows list: the mtt rows
-are rendered once, as the tt section with its kind cell rewritten.
+call, each distinct model once (congruences._MODEL). A table of
+_ROWS_FROM radii or more differences every radius of every model in one
+kinematics._scalar_rows call, whose passes are bounded in size, and takes
+the closed-form columns of its ordinary rows from arrays, one numpy pass
+per model (_array_rows). A shorter one, such as the one-row tables of
+compare and precess, builds no array: each row's scalar is differenced
+in float math (kinematics._scalar_at), and each row is built and marked
+in one place, _row. Both paths give a row the same bits. Kinds of one
+model share one rows list: the mtt rows are rendered once, as the tt
+section with its kind cell rewritten.
 
 Exit codes: 0 success, 2 self-check failure (some rel_err above 1e-6,
 or precess's fw_measured more than 1e-6 relative off the Thomas angle
@@ -95,6 +97,7 @@ from .errors import (
     LightCylinderError,
 )
 from .kinematics import (
+    _scalar_at,
     _scalar_rows,
     vorticity_scalar,  # noqa: F401  rfbench/layers.py traces it here
 )
@@ -123,7 +126,7 @@ EXIT_USAGE = 64
 
 _NANS = (float("nan"),) * 7  # the numeric columns of a marked row
 # rows per table from which compute_rows takes the array path (see there)
-_ROWS_FROM = 16
+_ROWS_FROM = 12
 
 
 class UsageError(Exception):
@@ -202,31 +205,35 @@ def compute_rows(kinds: list[str], rhos, omega: float,
     kinds it models share its one rows list, whose rows carry the model's
     kind: the renderers format that list once and write it under each
     kind (an mtt section is the tt section with its kind cell rewritten).
-    One kinematics._scalar_rows call differences every radius of every
-    model, nan where the stencil does not fit or a value is not finite, and
-    the rows take each scalar times (1 + x), x read first from PERTURB_ENV.
+    The numeric scalar is nan where the stencil does not fit or a value is
+    not finite, and the rows take each scalar times (1 + x), x read first
+    from PERTURB_ENV.
 
-    A table of fewer than _ROWS_FROM radii then builds and marks each row
-    in one place, _row, from one precession_per_revolution report. A
-    longer one builds each model's rows with _array_rows, whose one numpy
-    pass gives the ordinary rows the bits _row gives them, so no row
-    depends on its table. The pass has a fixed cost that per-row reports
-    do not: the break-even measured 10 to 12 rows, hence _ROWS_FROM.
+    A table of fewer than _ROWS_FROM radii differences each radius of each
+    model in float math (kinematics._scalar_at), and builds and marks
+    each row in one place, _row, from one precession_per_revolution
+    report. A longer one differences every radius of every model in one
+    kinematics._scalar_rows call, and builds each model's rows with
+    _array_rows, whose one numpy pass gives the ordinary rows the bits _row
+    gives them. _scalar_at has the bits of _scalar_rows, so no row depends
+    on its table. The arrays have a fixed cost that float math does not:
+    against the whole short path, the break-even measured 10 rows for the
+    three kinds and 14 for one, hence _ROWS_FROM.
     """
     factor = 1.0 + _perturbation()
     rho = np.array(rhos, dtype=float)
     rhos = rho.tolist()
     specs = [CongruenceSpec(model, omega, c)
              for model in dict.fromkeys(_MODEL[kind] for kind in kinds)]
-    x = np.zeros((len(rhos), 4))
-    x[:, 1] = rho
-    scalars = _scalar_rows(specs, [x] * len(specs))
     if len(rhos) < _ROWS_FROM:
         lams = [_rapidity(r, omega, c) for r in rhos]
-        computed = {spec.kind: [_row(spec, r, lam, v * factor)
-                                for r, lam, v in zip(rhos, lams, s.tolist())]
-                    for spec, s in zip(specs, scalars)}
+        computed = {spec.kind: [_row(spec, r, lam, _scalar_at(spec, r) * factor)
+                                for r, lam in zip(rhos, lams)]
+                    for spec in specs}
     else:
+        x = np.zeros((len(rhos), 4))
+        x[:, 1] = rho
+        scalars = _scalar_rows(specs, [x] * len(specs))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lams = _rapidity_rows(rho, rho.min(), omega, c).tolist()
             computed = {spec.kind: _array_rows(spec, rho, rhos, lams, s * factor)

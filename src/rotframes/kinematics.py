@@ -49,13 +49,33 @@ scalar an angular rate per unit proper time for any value of c.
 
 This module owns the rule for which events can be differenced: the
 stencil must stay off the axis and, for gal, inside the light cylinder.
-One routine, _stencil, holds it as one mask over the rows of every field
-it is given, with each row's step. _scalar_rows, the batch routine
-behind vorticity_scalars and the CLI tables, gives nan for a row that
-fails it or whose result is not finite, and differences the other rows
-in passes of at most _PASS events, with no gather or scatter where every
-row fits. kinematic_sample and vorticity_scalars raise DomainError for
-such a row instead, a stencil that does not fit first (_guard_stencil).
+The step (_step) and that rule (_fits) are written once, for one radius
+or an array of them. _stencil applies them as one mask over the rows of
+every field it is given, with each row's step; _scalar_at applies them
+to one radius. _scalar_rows, the batch routine behind vorticity_scalars
+and the CLI tables of _ROWS_FROM rows or more, gives nan for a row that
+fails the rule or whose result is not finite, and differences the other
+rows in passes of at most _PASS events, with no gather or scatter where
+every row fits. kinematic_sample and vorticity_scalars raise DomainError
+for such a row instead, a stencil that does not fit first
+(_guard_stencil).
+
+For one radius of a built-in field the pass reduces to a few floats,
+and _scalar_at computes them in Python float math with the bits
+_scalar_rows gives that row. The field depends on rho alone, so its
+lowered Jacobian has two nonzero entries, d_rho u_t and d_rho u_phi, and
+the eps-contraction leaves only
+
+    w^z = pref (u_phi d_rho u_t - u_t d_rho u_phi),  pref = 1 / (2 c (c rho)),
+
+in the lowered components at the event. The other four terms of each
+sum are exact zeros, so the order of the sum does not matter, and
+sqrt(-w.w) is sqrt(RN(w_z^2)) = |w_z| in binary64, as is the power-of-two
+redo of _norm_rows. Where numpy gives nan, so does _scalar_at. A
+Jacobian entry or a lowered component that is not finite turns a zero
+term into nan there, and leaves w^z not finite here. pref is inf where
+2 c (c rho) underflows to 0, which turns a zero term into nan too; Python
+floats refuse that division instead, so _scalar_at tests for it.
 
 Sign conventions: antisymmetrization carries the factor 1/2, orientation
 has eps(t, rho, phi, z) = +1, and with these choices the vorticity vector
@@ -77,6 +97,7 @@ import numpy as np
 from .congruences import (  # noqa: F401
     GAL,
     CongruenceSpec,
+    _fixed_point,
     _u_components,
     _u_rows,
 )
@@ -99,7 +120,7 @@ _PERM_B = _PERM[:, 1]
 _PERM_DG = 4 * _PERM[:, 3] + _PERM[:, 2]
 
 # stencil offsets per axis in units of the step: +-h, then +-h/2 for Richardson
-_RICHARDSON = np.array([1.0, -1.0, 0.5, -0.5])
+_RICHARDSON = (1.0, -1.0, 0.5, -0.5)
 _ALL_AXES = (0, 1, 2, 3)  # the stencil axes of a user field
 # the spans of the two central differences, in units of the step: 2h, then h
 _SPANS = np.array([[2.0], [1.0]])
@@ -178,35 +199,44 @@ def _axes(fields: Iterable[FieldLike]) -> tuple[int, ...]:
 @cache
 def _offsets(axes: tuple[int, ...]) -> np.ndarray:
     """Row offsets in steps: 4 per axis, then 0 (eye * offset: others +-0.0)."""
-    steps = (np.eye(4)[list(axes), None, :] * _RICHARDSON[:, None]).reshape(-1, 4)
+    steps = (np.eye(4)[list(axes), None, :] * np.array(_RICHARDSON)[:, None]).reshape(-1, 4)
     return np.vstack([steps, np.zeros((1, 4))])
 
 
-def _step(rho: np.ndarray) -> np.ndarray:
+def _step(rho, maximum=np.maximum):
     """The difference step at each radius: 1e-4 * max(rho, 1).
 
     It balances the h^4 truncation error of the Richardson-extrapolated
-    difference against the eps / h rounding floor of its quotients.
+    difference against the eps / h rounding floor of its quotients. rho is
+    an array, or one float with maximum=max, which gives the same value
+    (nan at a nan rho).
     """
-    return 1e-4 * np.maximum(rho, 1.0)
+    return 1e-4 * maximum(rho, 1.0)
+
+
+def _fits(field: FieldLike, rho, h):
+    """Whether the stencil of step h at rho stays off the axis and, for gal,
+    inside the light cylinder; rho and h are both floats or both arrays."""
+    fits = rho - h > 0.0
+    if isinstance(field, CongruenceSpec) and field.kind == GAL and field.omega > 0.0:
+        fits = fits & ((rho + h) * field.omega < field.c)
+    return fits
 
 
 def _stencil(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]):
     """The rows of xs[k], (n_k, 4) arrays of the field fields[k], stacked;
-    the step of each; which of them have a stencil that stays off the axis
-    and, for gal, inside the light cylinder; and each field's slice."""
+    the step of each; which of them have a stencil that fits (_fits); and
+    each field's slice."""
     x = xs[0] if len(xs) == 1 else np.concatenate(xs)
     rho = x[:, 1]
     h = _step(rho)
-    fits = rho - h > 0.0
-    bounds, start = [], 0
+    bounds, masks, start = [], [], 0
     for field, part in zip(fields, xs):
         rows = slice(start, start + len(part))
-        if isinstance(field, CongruenceSpec) and field.kind == GAL and field.omega > 0.0:
-            fit = fits[rows]  # a view: cleared in place
-            fit &= (rho[rows] + h[rows]) * field.omega < field.c
+        masks.append(_fits(field, rho[rows], h[rows]))
         bounds.append(rows)
         start = rows.stop
+    fits = masks[0] if len(masks) == 1 else np.concatenate(masks)
     return x, h, fits, bounds
 
 
@@ -405,6 +435,33 @@ def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]) -> list[
         out = np.full(len(fits), np.nan)
         out[fits] = scalar
     return [out[rows] for rows in bounds]
+
+
+def _scalar_at(spec: CongruenceSpec, rho: float) -> float:
+    """_scalar_rows' scalar of the built-in field spec at the radius rho, bit
+    for bit, in float math (module docstring); nan where it gives nan.
+
+    The field's u^t and u^phi come from congruences._fixed_point, which
+    has the bits of _u_rows, at each stencil row of _fd_matrix's layout and
+    at rho; they are lowered and differenced as _jet and _fd_matrix do.
+    """
+    h = _step(rho, max)
+    if not _fits(spec, rho, h):
+        return math.nan
+    c = spec.c
+    low = []  # (u_t, u_phi) lowered, at rho + h * o for each offset, then at rho
+    for r in [rho + h * o for o in _RICHARDSON] + [rho]:
+        fp = _fixed_point(r, spec)
+        low.append(((c * c) * fp.u_t, -(r * r) * fp.u_phi))
+    (t0, p0), (t1, p1), (t2, p2), (t3, p3), (u_t, u_phi) = low
+    # the central differences at h and h / 2 (h * 1.0 is h), then Richardson
+    du_t = (4.0 * ((t2 - t3) / h) - (t0 - t1) / (h * 2.0)) / 3.0
+    du_phi = (4.0 * ((p2 - p3) / h) - (p0 - p1) / (h * 2.0)) / 3.0
+    den = 2.0 * c * (c * rho)
+    if not den:  # numpy's pref is then inf, and inf times a zero term nan
+        return math.nan
+    w = (1.0 / den) * (u_phi * du_t - u_t * du_phi)
+    return abs(w) if math.isfinite(w) else math.nan
 
 
 @_quiet

@@ -1,17 +1,19 @@
 """The fixed numpy cost of a one-event difference pass and of one angle.
 
-A one-row compare or precess table, a kinematic_sample, the Fermi-Walker
-angle of precess --fw-check and a transport run work on arrays of a few
-rows, where each numpy call costs about a microsecond whatever its size.
-The number of numpy calls such a pass makes therefore bounds its
-latency, and unlike a timing it repeats exactly on a noisy host. It is
-counted here as sys.setprofile c_call events, which numpy's builtin
-functions (np.array, np.empty, ...), ndarray methods (.all, .reshape,
-...) and ufunc methods (.reduce) raise, plus the calls of the functions
-numpy dispatches in C through __array_function__ (np.concatenate,
-np.dot, np.vdot, ...), which raise none: each of those is wrapped in a
-counter in the numpy namespace while the call runs. Calls of a ufunc
-itself, operators and indexing are not counted.
+A kinematic_sample, a one-row vorticity_scalars, the Fermi-Walker angle
+of precess --fw-check and a transport run work on arrays of a few rows,
+where each numpy call costs about a microsecond whatever its size. The
+number of numpy calls such a pass makes therefore bounds its latency,
+and unlike a timing it repeats exactly on a noisy host. A one-row compare or precess table is
+differenced in float math and builds no array but its radii, so its
+bound holds it to that path. The count is made of sys.setprofile c_call
+events, which numpy's builtin functions (np.array, np.empty, ...),
+ndarray methods (.all, .reshape, ...) and ufunc methods (.reduce) raise,
+plus the calls of the functions numpy dispatches in C through
+__array_function__ (np.concatenate, np.dot, np.vdot, ...), which raise
+none: each of those is wrapped in a counter in the numpy namespace while
+the call runs. Calls of a ufunc itself, operators and indexing are not
+counted.
 
 Each bound is the count measured with numpy 2.4 when the pass was last
 made cheaper or the counter last changed; a change that adds a numpy
@@ -33,12 +35,14 @@ from rotframes import (
     fw_transport,
     kinematic_sample,
     measure_precession_angle,
+    vorticity_scalars,
     worldline,
 )
 from rotframes.cli import compute_rows
 
 TT = CongruenceSpec("tt", 0.5)
 EVENT = Event(0.0, 1.0, 0.0)
+COORDS = EVENT.coords()
 USER = VelocityField(lambda e: four_velocity(e, TT).components)
 WORLDLINE = worldline(TT, 1.0)
 # the type of the functions numpy dispatches through __array_function__
@@ -96,9 +100,12 @@ def test_the_count_sees_numpy_calls_only():
 
 
 @pytest.mark.parametrize("call, bound", [
-    # the one-row tables of compare (gal and tt in one pass) and precess
-    (lambda: compute_rows(["gal", "tt", "mtt"], [1.0], 0.5, 1.0), 37),
-    (lambda: compute_rows(["tt"], [1.0], 0.5, 1.0), 30),
+    # the one-row tables of compare and precess: np.array and tolist of
+    # the radii
+    (lambda: compute_rows(["gal", "tt", "mtt"], [1.0], 0.5, 1.0), 2),
+    (lambda: compute_rows(["tt"], [1.0], 0.5, 1.0), 2),
+    # one _scalar_rows pass where every row fits: no gather or scatter
+    (lambda: vorticity_scalars(TT, COORDS), 33),
     (lambda: kinematic_sample(CongruenceSpec("gal", 0.5), EVENT), 31),
     (lambda: kinematic_sample(TT, EVENT), 32),
     (lambda: kinematic_sample(USER, EVENT), 61),
@@ -107,7 +114,7 @@ def test_the_count_sees_numpy_calls_only():
     (lambda: measure_precession_angle(TT, 1.0, 100000), 21),
     # a transport at its default 1025 samples
     (lambda: fw_transport(WORLDLINE, (0.0, 1.0, 0.0, 0.0), 10.0, 100000), 30),
-], ids=["compare", "precess", "kinematic_sample gal", "kinematic_sample tt",
+], ids=["compare", "precess", "vorticity_scalars tt", "kinematic_sample gal", "kinematic_sample tt",
         "kinematic_sample user", "fw angle gal", "fw angle tt", "fw_transport 1025"])
 def test_one_event_pass_makes_no_more_numpy_calls(call, bound):
     assert _numpy_calls(call) <= bound

@@ -865,14 +865,110 @@ class TestScalarRows:
         # mtt rows reuse
         assert jacobians == [3] * 12
 
-    def test_overflowing_cli_row_takes_one_jacobian(self, jacobians):
+    def test_overflowing_cli_row_takes_no_jacobian(self, jacobians):
         from rotframes.cli import compute_row
 
-        # c^2 overflows the metric; this row was differenced three times
+        # c^2 overflows the metric; a one-row table is differenced in float
+        # math (_scalar_at), without a difference pass
         row = compute_row("tt", 5.550993789130864e87, 4.01386935375306e-185,
                           8.55311998774621e197)
         assert row.status == "domain_error"
-        assert jacobians == [1]
+        assert jacobians == []
+
+
+class TestScalarAt:
+    """kinematics._scalar_at, the scalar of a CLI table shorter than
+    _ROWS_FROM rows, against the _scalar_rows row at the same radius, as
+    float.hex (so nan equals nan), over the float range."""
+
+    SEED = 2718
+    DRAWS = 500  # per kind of draw
+
+    @staticmethod
+    def _draws(rng, count):
+        """(spec, rho) pairs, count of each kind of draw: gal within 3 steps
+        of its light cylinder, on both sides of it; tt and mtt at rapidity
+        1e-8 to 1000; rho down to the subnormal range and within a step of
+        the axis; rho, omega and c each log-uniform over e^+-700, where
+        2 c (c rho) underflows to 0 on some draws. Elsewhere omega and c
+        are log-uniform over e^+-3 on two draws in three, and over e^+-700
+        on the third."""
+        def wide(scale=700.0):
+            return math.exp(rng.uniform(-scale, scale))
+
+        for draw in ("light_cylinder", "rapidity", "small_rho", "wide"):
+            for i in range(count):
+                kind = ("gal", "tt", "mtt")[i % 3]
+                scale = 700.0 if draw == "wide" or i % 3 == 2 else 3.0
+                omega, c = wide(scale), wide(scale)
+                if draw == "light_cylinder":
+                    kind = "gal"
+                    edge, k = c / omega, rng.uniform(-1.0, 3.0)
+                    rho = edge / (1.0 + 1e-4 * k) if edge >= 1.0 else edge - 1e-4 * k
+                elif draw == "rapidity":
+                    kind = ("tt", "mtt")[i % 2]
+                    rho = math.exp(rng.uniform(math.log(1e-8), math.log(1e3))) * c / omega
+                elif draw == "small_rho":
+                    rho = (math.exp(rng.uniform(math.log(5e-324), math.log(1e-4)))
+                           if i % 2 else 1e-4 * (1.0 + rng.uniform(-1e-3, 1e-3)))
+                else:
+                    rho = wide()
+                if 0.0 < rho < math.inf:
+                    yield CongruenceSpec(kind, omega, c), rho
+
+    def test_equals_the_scalar_rows_row_bitwise(self):
+        from rotframes.kinematics import _fits, _scalar_at, _scalar_rows, _step
+
+        rng = np.random.default_rng(self.SEED)
+        outcomes, underflows = set(), 0
+        for spec, rho in self._draws(rng, self.DRAWS):
+            (row,) = _scalar_rows([spec], [np.array([[0.0, rho, 0.0, 0.0]])])
+            scalar = _scalar_at(spec, rho)
+            assert scalar.hex() == float(row[0]).hex(), (spec, rho)
+            outcomes.add((spec.kind, math.isnan(scalar)))
+            fits = _fits(spec, rho, _step(rho, max))
+            underflows += bool(fits and 2.0 * spec.c * (spec.c * rho) == 0.0)
+        # every kind reaches a number and nan; the draws reach the trap
+        assert outcomes == {(k, n) for k in ("gal", "tt", "mtt") for n in (False, True)}
+        assert underflows > 0
+
+    def test_an_underflowing_prefactor_gives_nan(self):
+        from rotframes.kinematics import _fits, _scalar_at, _scalar_rows, _step
+
+        # the stencil fits and the lowered field is finite, but 2 c (c rho)
+        # is 2e-340, which is 0.0: numpy's 1 / 0.0 is inf and the row nan,
+        # where Python would raise ZeroDivisionError
+        spec, rho = CongruenceSpec("tt", 1e-170, 1e-170), 1.0
+        assert _fits(spec, rho, _step(rho, max))
+        assert 2.0 * spec.c * (spec.c * rho) == 0.0
+        assert math.isnan(_scalar_at(spec, rho))
+        assert np.isnan(_scalar_rows([spec], [np.array([[0.0, rho, 0.0, 0.0]])])[0]).all()
+
+    @pytest.mark.parametrize("perturb", ["", "1e-3", "1e308"])
+    def test_tables_on_both_sides_of_the_threshold_agree(self, perturb, monkeypatch):
+        # the same radii in a table just short of _ROWS_FROM rows (float
+        # math) and in one of _ROWS_FROM rows (the array path)
+        from rotframes import cli
+
+        monkeypatch.setenv(cli.PERTURB_ENV, perturb)
+        rng = np.random.default_rng([self.SEED, len(perturb)])
+        draws = list(self._draws(rng, 12))
+        statuses = set()
+        for spec, rho in draws[::4]:
+            rhos = [r for _, r in draws[:cli._ROWS_FROM]]
+            rhos[0] = rho
+            short = cli.compute_rows(["gal", "tt", "mtt"], rhos[:-1], spec.omega, spec.c)
+            full = cli.compute_rows(["gal", "tt", "mtt"], rhos, spec.omega, spec.c)
+            for (kind, rows), (_, long_rows) in zip(short, full):
+                assert len(rows) == len(long_rows) - 1
+                for row, long_row in zip(rows, long_rows):
+                    assert _row_bits(row) == _row_bits(long_row), (kind, row.rho)
+                    statuses.add(row.status)
+        assert statuses == {"ok", "light_cylinder", "domain_error"}
+
+
+def _row_bits(row):
+    return tuple(v if isinstance(v, str) else float(v).hex() for v in row)
 
 
 class TestOverflow:

@@ -39,8 +39,9 @@ def _lams(rng, n):
 def test_rows_keep_their_bits_under_a_change_of_time_unit():
     rng = np.random.default_rng(11)
     ok = 0
-    # one-row tables and tables that take the array path
-    for size in (1, 2, _ROWS_FROM, _ROWS_FROM + 3) * 10:
+    # tables differenced in float math, the longest of them, and tables
+    # that take the array path
+    for size in (1, 2, _ROWS_FROM - 1, _ROWS_FROM, _ROWS_FROM + 3) * 10:
         c, omega, k, s = _draw(rng)
         rhos = (_lams(rng, size) * c / omega).tolist()
         before = compute_rows(["gal", "tt"], rhos, omega, c)
