@@ -30,7 +30,7 @@ value), from one pass of json's C encoder over its values (_fill).
 
 omega, compare and precess each compute their rows with one compute_rows
 call, each distinct model once (congruences._MODEL). A table of
-_ROWS_FROM radii or more differences every radius of every model in one
+_ROWS_FROM radii or more differences every radius of each model with one
 kinematics._scalar_rows call, whose passes are bounded in size, and takes
 the closed-form columns of its ordinary rows from arrays, one numpy pass
 per model (_array_rows). A shorter one, such as the one-row tables of
@@ -212,13 +212,15 @@ def compute_rows(kinds: list[str], rhos, omega: float,
     A table of fewer than _ROWS_FROM radii differences each radius of each
     model in float math (kinematics._scalar_at), and builds and marks
     each row in one place, _row, from one precession_per_revolution
-    report. A longer one differences every radius of every model in one
-    kinematics._scalar_rows call, and builds each model's rows with
+    report. A longer one differences every radius of each model with one
+    kinematics._scalar_rows call, and builds the model's rows with
     _array_rows, whose one numpy pass gives the ordinary rows the bits _row
     gives them. _scalar_at has the bits of _scalar_rows, so no row depends
     on its table. The arrays have a fixed cost that float math does not:
-    against the whole short path, the break-even measured 10 rows for the
-    three kinds and 14 for one, hence _ROWS_FROM.
+    against the whole short path, the break-even measured 13 rows for the
+    three kinds and for one, with the two paths within 6% of each other
+    at 12 and 13 rows (timeit minima in-process; Python 3.11, numpy 2.4,
+    x86-64 Linux), hence _ROWS_FROM.
     """
     factor = 1.0 + _perturbation()
     rho = np.array(rhos, dtype=float)
@@ -233,11 +235,11 @@ def compute_rows(kinds: list[str], rhos, omega: float,
     else:
         x = np.zeros((len(rhos), 4))
         x[:, 1] = rho
-        scalars = _scalar_rows(specs, [x] * len(specs))
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             lams = _rapidity_rows(rho, rho.min(), omega, c).tolist()
-            computed = {spec.kind: _array_rows(spec, rho, rhos, lams, s * factor)
-                        for spec, s in zip(specs, scalars)}
+            computed = {spec.kind: _array_rows(spec, rho, rhos, lams,
+                                               _scalar_rows(spec, x) * factor)
+                        for spec in specs}
     return [(kind, computed[_MODEL[kind]]) for kind in kinds]
 
 

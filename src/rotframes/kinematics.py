@@ -5,22 +5,20 @@ differences, always with one Richardson extrapolation level), so it
 works for any congruence supplied as u(event), not just the built-in
 ones, whose closed forms (congruences.omega_closed_form) it is checked
 against. Everything runs on arrays of events, and a call at a single
-event is a batch of one. A difference pass lays out, per event, four
-stencil rows along each differenced axis, then the event (_fd_matrix), so
-the rows of consecutive events are one slice. A pass, of at most _PASS
-events, may hold the events of several fields that share c, grouped by
-field: the metric is built once on all rows, without a check, as a
-stencil that fits has only positive radii, and each field is called once
-and fills its own slice of the lowered field (_jet). The step follows
-from rho (_step).
+event is a batch of one. A difference pass, of at most _PASS events of
+one field, lays out, per event, four stencil rows along each differenced
+axis, then the event (_fd_matrix), so the rows of consecutive events are
+one slice. The metric and the field are each evaluated once on all the
+rows of a pass (_jet); the metric is built without a check, as a stencil
+that fits has only positive radii. The step follows from rho (_step).
 
 The built-in congruences are stationary, axisymmetric and z-invariant,
 so their u^a, like the metric, depend on rho alone: they are differenced
 along rho only (_axes), in 5 field evaluations per event, and their t,
 phi and z Jacobian columns are +0.0, as a difference along those axes
 gives wherever the event's values are finite (elsewhere every output is
-non-finite either way). A user VelocityField, and every event of a pass
-that holds one, is differenced along every axis, in 17 evaluations.
+non-finite either way). A user VelocityField is differenced along every
+axis, in 17 evaluations.
 
 Each event gets one Jacobian, that of the lowered field,
 du[a, b] = d_b u_a, and the acceleration, the vorticity tensor and the
@@ -51,13 +49,13 @@ This module owns the rule for which events can be differenced: the
 stencil must stay off the axis and, for gal, inside the light cylinder.
 The step (_step) and that rule (_fits) are written once, for one radius
 or an array of them. _stencil applies them as one mask over the rows of
-every field it is given, with each row's step; _scalar_at applies them
-to one radius. _scalar_rows, the batch routine behind vorticity_scalars
-and the CLI tables of _ROWS_FROM rows or more, gives nan for a row that
-fails the rule or whose result is not finite, and differences the other
-rows in passes of at most _PASS events, with no gather or scatter where
-every row fits. kinematic_sample and vorticity_scalars raise DomainError
-for such a row instead, a stencil that does not fit first
+a field, with each row's step; _scalar_at applies them to one radius.
+_scalar_rows, the batch routine behind vorticity_scalars and the CLI
+tables of _ROWS_FROM rows or more, takes one field, gives nan for a row
+that fails the rule or whose result is not finite, and differences the
+other rows in passes of at most _PASS events, with no gather or scatter
+where every row fits. kinematic_sample and vorticity_scalars raise
+DomainError for such a row instead, a stencil that does not fit first
 (_guard_stencil).
 
 For one radius of a built-in field the pass reduces to a few floats,
@@ -88,7 +86,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, partial, wraps
-from typing import Callable, Iterable, NamedTuple, Sequence, Union
+from typing import Callable, NamedTuple, Union
 
 import numpy as np
 
@@ -191,9 +189,9 @@ def _field_rows(spec: FieldLike) -> Callable[[np.ndarray], np.ndarray]:
     return partial(_u_rows, spec=spec)
 
 
-def _axes(fields: Iterable[FieldLike]) -> tuple[int, ...]:
-    """The axes a pass over fields is differenced along (module docstring)."""
-    return _ALL_AXES if any(isinstance(f, VelocityField) for f in fields) else (RHO,)
+def _axes(field: FieldLike) -> tuple[int, ...]:
+    """The axes field is differenced along (module docstring)."""
+    return _ALL_AXES if isinstance(field, VelocityField) else (RHO,)
 
 
 @cache
@@ -223,26 +221,16 @@ def _fits(field: FieldLike, rho, h):
     return fits
 
 
-def _stencil(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]):
-    """The rows of xs[k], (n_k, 4) arrays of the field fields[k], stacked;
-    the step of each; which of them have a stencil that fits (_fits); and
-    each field's slice."""
-    x = xs[0] if len(xs) == 1 else np.concatenate(xs)
-    rho = x[:, 1]
-    h = _step(rho)
-    bounds, masks, start = [], [], 0
-    for field, part in zip(fields, xs):
-        rows = slice(start, start + len(part))
-        masks.append(_fits(field, rho[rows], h[rows]))
-        bounds.append(rows)
-        start = rows.stop
-    fits = masks[0] if len(masks) == 1 else np.concatenate(masks)
-    return x, h, fits, bounds
+def _stencil(field: FieldLike, x: np.ndarray):
+    """The step at each row of x, an (n, 4) array of field's events, and
+    which rows have a stencil that fits (_fits)."""
+    h = _step(x[:, 1])
+    return h, _fits(field, x[:, 1], h)
 
 
 def _guard_stencil(spec: FieldLike, x: np.ndarray) -> np.ndarray:
     """The step at each row of x, an (n, 4) array, whose stencils must fit."""
-    _, h, fits, _ = _stencil([spec], [x])
+    h, fits = _stencil(spec, x)
     if fits.all():
         return h
     i = int(np.argmin(fits))
@@ -290,47 +278,36 @@ def _finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def _jet(groups: Sequence[tuple[FieldLike, int]], x: np.ndarray,
-         h: np.ndarray) -> _Jet:
+def _jet(field: FieldLike, x: np.ndarray, h: np.ndarray) -> _Jet:
     """u, g, u_low and the lowered Jacobian at each row of x, an (n, 4) array.
 
-    groups holds (field, count) pairs, count > 0: the rows of x are the
-    events of the first field, then those of the next, and so on. The
-    fields share c. h holds one step per row; the stencils must fit (see
-    _stencil), so every radius of them is positive and the metric is
-    built unchecked (c is positive on every field). One call of _fd_matrix
-    differences every row (_axes): the metric is evaluated once on all its
-    rows, and each field once on its own slice of them. u is u_low / g_a,
-    so u_low is exactly the lowered field that was differenced. Nothing is
-    checked for overflow.
+    h holds one step per row; the stencils must fit (see _stencil), so
+    every radius of them is positive and the metric is built unchecked (c
+    is positive on every field). One call of _fd_matrix differences every
+    row along the field's axes (_axes), and evaluates the metric and the
+    field once each on all its rows. u is u_low / g_a, so u_low is exactly
+    the lowered field that was differenced. Nothing is checked for
+    overflow.
     """
-    c = groups[0][0].c
-    axes = _axes(field for field, _ in groups)
+    axes = _axes(field)
     per_event = 4 * len(axes) + 1
-    slices, start = [], 0
-    for field, count in groups:
-        stop = start + per_event * count
-        slices.append((_field_rows(field), slice(start, stop)))
-        start = stop
+    u_rows = _field_rows(field)
     g = None
 
     def lowered(y: np.ndarray) -> np.ndarray:
         nonlocal g
-        g = _metric_rows(y[:, 1], c)
-        low = np.empty_like(g)
-        for u_rows, rows in slices:  # each field fills its own rows
-            np.multiply(g[rows], u_rows(y[rows]), out=low[rows])
-        return low
+        g = _metric_rows(y[:, 1], field.c)
+        return g * u_rows(y)
 
     du, u_low = _fd_matrix(lowered, x, h, axes)
     # the metric at the events: the last of each event's rows
     g = g[per_event - 1::per_event]
-    return _Jet(x[:, 1], c, u_low / g, g, u_low, du)
+    return _Jet(x[:, 1], field.c, u_low / g, g, u_low, du)
 
 
 def _at(spec: FieldLike, event: Event) -> _Jet:
     x = event.coords()[None, :]
-    return _jet([(spec, 1)], x, _guard_stencil(spec, x))
+    return _jet(spec, x, _guard_stencil(spec, x))
 
 
 def _acceleration_low(jet: _Jet) -> np.ndarray:
@@ -395,46 +372,32 @@ def _quiet(fn):
 
 
 @_quiet
-def _scalar_rows(fields: Sequence[FieldLike], xs: Sequence[np.ndarray]) -> list[np.ndarray]:
-    """Vorticity scalar at each row of xs[k], an (n_k, 4) coordinate array,
-    for the field fields[k]; the fields share c.
+def _scalar_rows(field: FieldLike, x: np.ndarray) -> np.ndarray:
+    """Vorticity scalar of field at each row of x, an (n, 4) coordinate array.
 
     A row is nan where its stencil does not fit (off the chart, or across
     the gal light cylinder) or where a value, the scalar among them, is
-    not finite. One mask over every row (_stencil) holds the rule;
-    the rows that fit, of every field in turn, are differenced in passes
-    of at most _PASS events, one _fd_matrix call each, in which each field
-    is called once on its rows in the pass. Where every row fits, no row
-    is gathered or scattered. A row's bits do not depend on its pass.
+    not finite. One mask over the rows (_stencil) holds the rule; the rows
+    that fit are differenced in passes of at most _PASS events, one _jet
+    call each. Where every row fits, no row is gathered or scattered. A
+    row's bits do not depend on its pass.
     """
-    if any(field.c != fields[0].c for field in fields):
-        raise ValueError("fields differenced together must share c")
-    x, h, fits, bounds = _stencil(fields, xs)
+    h, fits = _stencil(field, x)
     every = bool(fits.all())
-    if every:
-        counts = [len(part) for part in xs]
-    else:
-        counts = [int(np.count_nonzero(fits[rows])) for rows in bounds]
+    if not every:
         x, h = x[fits], h[fits]
     scalar = np.empty(len(x))
     for a in range(0, len(x), _PASS):
         b = a + _PASS
-        # the part inside [a, b) of each field's rows [first, first + count)
-        groups, first = [], 0
-        for field, count in zip(fields, counts):
-            n = min(b, first + count) - max(a, first)
-            if n > 0:
-                groups.append((field, n))
-            first += count
-        jet = _jet(groups, x[a:b], h[a:b])
+        jet = _jet(field, x[a:b], h[a:b])
         w = _norm_rows(jet, _eps_contract(jet, jet.du))
         w[~(np.isfinite(w) & np.isfinite(jet.du).all(axis=(1, 2)))] = np.nan
         scalar[a:b] = w
-    out = scalar
-    if not every:
-        out = np.full(len(fits), np.nan)
-        out[fits] = scalar
-    return [out[rows] for rows in bounds]
+    if every:
+        return scalar
+    out = np.full(len(fits), np.nan)
+    out[fits] = scalar
+    return out
 
 
 def _scalar_at(spec: CongruenceSpec, rho: float) -> float:
@@ -473,7 +436,7 @@ def vorticity_scalars(spec: FieldLike, coords: np.ndarray) -> np.ndarray:
     the rows that fit), or else if a value overflows.
     """
     x = np.asarray(coords, dtype=float).reshape(-1, 4)
-    (scalar,) = _scalar_rows([spec], [x])
+    scalar = _scalar_rows(spec, x)
     if np.isnan(scalar).any():
         _guard_stencil(spec, x)
     return _finite(scalar)

@@ -739,9 +739,9 @@ class TestRowsDoNotDependOnTheirTable:
 class TestModelReuse:
     """omega and compare compute mtt rows once, as the tt rows relabelled.
 
-    A table of _ROWS_FROM rows or more differences its rows in one
-    _scalar_rows call, which covers every distinct model once; a shorter
-    one, such as compare's, makes no difference pass (_scalar_at).
+    A table of _ROWS_FROM rows or more differences its rows with one
+    _scalar_rows call per distinct model; a shorter one, such as
+    compare's, makes no difference pass (_scalar_at).
     """
 
     SWEEP = ["--omega", "0.7", "--rho-min", "0.05", "--rho-max", "1.6", "--steps", "40",
@@ -749,23 +749,23 @@ class TestModelReuse:
 
     @staticmethod
     def _spy(monkeypatch):
-        """The models of each _scalar_rows call, one tuple per call, and the
-        row counts of its arrays, one tuple per call."""
+        """The model of each _scalar_rows call and the row count of its
+        array, one entry per call."""
         kinds, sizes = [], []
         real = cli._scalar_rows
 
-        def spy(fields, xs, *scale):
-            kinds.append(tuple(field.kind for field in fields))
-            sizes.append(tuple(len(x) for x in xs))
-            return real(fields, xs, *scale)
+        def spy(field, x):
+            kinds.append(field.kind)
+            sizes.append(len(x))
+            return real(field, x)
 
         monkeypatch.setattr(cli, "_scalar_rows", spy)
         return kinds, sizes
 
     @pytest.mark.parametrize("perturb", ["", "1e-3"])
     @pytest.mark.parametrize("kinds,models", [
-        ("mtt", [("tt",)]), ("mtt,gal", [("tt", "gal")]), ("tt,mtt", [("tt",)]),
-        ("gal,tt,mtt,tt", [("gal", "tt")]),
+        ("mtt", ["tt"]), ("mtt,gal", ["tt", "gal"]), ("tt,mtt", ["tt"]),
+        ("gal,tt,mtt,tt", ["gal", "tt"]),
     ])
     def test_sweep_equals_the_per_kind_sweeps(self, capsys, monkeypatch, kinds,
                                                models, perturb):
@@ -776,7 +776,7 @@ class TestModelReuse:
         code, out, err = run(capsys, ["omega", "--kind", kinds] + self.SWEEP)
         assert called == models
         # every radius of each model is differenced, past the light cylinder too
-        assert sizes == [(40,) * len(m) for m in models]
+        assert sizes == [40] * len(models)
         assert out == CSV_HEADER + "\n" + "".join(
             o.split("\n", 1)[1] for _, o, _ in singles)
         assert code == max(c for c, _, _ in singles)

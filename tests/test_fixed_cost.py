@@ -1,4 +1,5 @@
-"""The fixed numpy cost of a one-event difference pass and of one angle.
+"""The fixed numpy cost of a one-event difference pass, of one angle and
+of a CLI table.
 
 A kinematic_sample, a one-row vorticity_scalars, the Fermi-Walker angle
 of precess --fw-check and a transport run work on arrays of a few rows,
@@ -6,7 +7,9 @@ where each numpy call costs about a microsecond whatever its size. The
 number of numpy calls such a pass makes therefore bounds its latency,
 and unlike a timing it repeats exactly on a noisy host. A one-row compare or precess table is
 differenced in float math and builds no array but its radii, so its
-bound holds it to that path. The count is made of sys.setprofile c_call
+bound holds it to that path. A table of 40 rows takes the array path,
+one difference pass per model, so its bound fails a change that adds a
+pass or a numpy call there. The count is made of sys.setprofile c_call
 events, which numpy's builtin functions (np.array, np.empty, ...),
 ndarray methods (.all, .reshape, ...) and ufunc methods (.reduce) raise,
 plus the calls of the functions numpy dispatches in C through
@@ -45,6 +48,8 @@ EVENT = Event(0.0, 1.0, 0.0)
 COORDS = EVENT.coords()
 USER = VelocityField(lambda e: four_velocity(e, TT).components)
 WORLDLINE = worldline(TT, 1.0)
+# 40 radii inside the gal light cylinder at omega = 0.5, c = 1
+RHOS = np.linspace(0.1, 1.9, 40).tolist()
 # the type of the functions numpy dispatches through __array_function__
 _DISPATCHER = type(np.vdot)
 
@@ -104,17 +109,20 @@ def test_the_count_sees_numpy_calls_only():
     # the radii
     (lambda: compute_rows(["gal", "tt", "mtt"], [1.0], 0.5, 1.0), 2),
     (lambda: compute_rows(["tt"], [1.0], 0.5, 1.0), 2),
+    # a three-kind table on the array path: a gal pass and a tt pass
+    (lambda: compute_rows(["gal", "tt", "mtt"], RHOS, 0.5, 1.0), 83),
     # one _scalar_rows pass where every row fits: no gather or scatter
-    (lambda: vorticity_scalars(TT, COORDS), 33),
-    (lambda: kinematic_sample(CongruenceSpec("gal", 0.5), EVENT), 31),
-    (lambda: kinematic_sample(TT, EVENT), 32),
-    (lambda: kinematic_sample(USER, EVENT), 61),
+    (lambda: vorticity_scalars(TT, COORDS), 32),
+    (lambda: kinematic_sample(CongruenceSpec("gal", 0.5), EVENT), 30),
+    (lambda: kinematic_sample(TT, EVENT), 31),
+    (lambda: kinematic_sample(USER, EVENT), 60),
     # the angle behind precess --fw-check: worldline, generator and RK4 map
     (lambda: measure_precession_angle(CongruenceSpec("gal", 0.5), 1.0, 100000), 21),
     (lambda: measure_precession_angle(TT, 1.0, 100000), 21),
     # a transport at its default 1025 samples
     (lambda: fw_transport(WORLDLINE, (0.0, 1.0, 0.0, 0.0), 10.0, 100000), 30),
-], ids=["compare", "precess", "vorticity_scalars tt", "kinematic_sample gal", "kinematic_sample tt",
-        "kinematic_sample user", "fw angle gal", "fw angle tt", "fw_transport 1025"])
+], ids=["compare", "precess", "compute_rows 40 rows", "vorticity_scalars tt",
+        "kinematic_sample gal", "kinematic_sample tt", "kinematic_sample user",
+        "fw angle gal", "fw angle tt", "fw_transport 1025"])
 def test_one_event_pass_makes_no_more_numpy_calls(call, bound):
     assert _numpy_calls(call) <= bound

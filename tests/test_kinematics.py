@@ -279,7 +279,7 @@ class TestVorticityScalar:
         x = np.array([[0.0, 1.3, 0.0, 0.0]])
 
         def scalar(h):
-            jet = _jet([(spec, 1)], x, np.array([h]))
+            jet = _jet(spec, x, np.array([h]))
             return float(_norm_rows(jet, _eps_contract(jet, jet.du))[0])
 
         coarse, fine = scalar(2e-4), scalar(1e-4)
@@ -469,9 +469,9 @@ class TestOneJacobian:
         calls = []
         real = kinematics._stencil
 
-        def spy(fields, xs):
-            calls.append(len(fields))
-            return real(fields, xs)
+        def spy(field, x):
+            calls.append(len(x))
+            return real(field, x)
 
         monkeypatch.setattr(kinematics, "_stencil", spy)
         spec = CongruenceSpec("gal", 0.5)
@@ -480,7 +480,7 @@ class TestOneJacobian:
             calls.clear()
             vorticity_scalars(field, coords)
             vorticity_scalar(field, Event(0.0, 1.0, 0.0, 0.0))
-            assert calls == [1, 1]
+            assert calls == [2, 1]
         # a row that does not fit: the stencil is built again to name it
         calls.clear()
         with pytest.raises(DomainError, match="light cylinder"):
@@ -657,7 +657,7 @@ class TestRadialStencil:
     def _every_axis(monkeypatch):
         from rotframes import kinematics
 
-        monkeypatch.setattr(kinematics, "_axes", lambda fields: kinematics._ALL_AXES)
+        monkeypatch.setattr(kinematics, "_axes", lambda field: kinematics._ALL_AXES)
 
     @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
     def test_both_layouts_agree_bitwise(self, kind, monkeypatch):
@@ -677,9 +677,9 @@ class TestRadialStencil:
                 self._every_axis(monkeypatch)
             outcomes[layout] = [
                 (_outcome(kinematic_sample, spec, e),
-                 _outcome(_scalar_rows, [spec],
-                          [np.array([e.coords(), e.coords() * (1.0, 1.0 - 2e-6, 1.0, 1.0),
-                                     e.coords() * (1.0, 1.0 + 2e-6, 1.0, 1.0)])]))
+                 _outcome(_scalar_rows, spec,
+                          np.array([e.coords(), e.coords() * (1.0, 1.0 - 2e-6, 1.0, 1.0),
+                                    e.coords() * (1.0, 1.0 + 2e-6, 1.0, 1.0)])))
                 for spec, e in draws]
         assert outcomes["rho"] == outcomes["all"]
         # the Jacobian itself, where the stencil fits: equal rho columns, and
@@ -690,7 +690,8 @@ class TestRadialStencil:
             def lowered(y, spec=spec):
                 return metric_diag(y[:, 1], spec.c) * _u_rows(y, spec)
 
-            x, h, fits, _ = _stencil([spec], [e.coords()[None, :]])
+            x = e.coords()[None, :]
+            h, fits = _stencil(spec, x)
             if not fits[0]:
                 continue
             with np.errstate(all="ignore"):
@@ -706,23 +707,6 @@ class TestRadialStencil:
         # the draws reach every outcome
         assert 0 < sum(finite) < len(finite)
         assert 0 < sum(isinstance(s, list) for s, _ in outcomes["rho"]) < len(draws)
-
-    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
-    def test_rows_in_a_pass_with_a_user_field(self, kind):
-        # the built-in rows of a pass that holds a user field take 17 rows
-        # each, and equal the rows of a pass of their own
-        from rotframes.kinematics import _scalar_rows
-
-        rng = np.random.default_rng([self.SEED, 7, len(kind)])
-        for spec, e in self._draws(kind, rng, 40):
-            x = np.array([e.coords(), e.coords() * (1.0, 1.0 - 2e-6, 1.0, 1.0)])
-            user = _user(CongruenceSpec("gal", 0.0, spec.c))  # never raises
-            xu = rng.normal(size=(2, 4))
-            xu[:, 1] = rng.uniform(0.5, 2.0, 2)
-            (alone,) = _scalar_rows([spec], [x])
-            before, _ = _scalar_rows([spec, user], [x, xu])
-            _, after = _scalar_rows([user, spec], [xu, x])
-            assert alone.tobytes() == before.tobytes() == after.tobytes()
 
 
 class TestScalarRows:
@@ -752,7 +736,7 @@ class TestScalarRows:
         x[:, 1] = [1e-5, 1.0, 400.0, 900.0, 2.5]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (out,) = _scalar_rows([spec], [x])
+            out = _scalar_rows(spec, x)
         assert jacobians == [4]
         assert np.isnan(out[[0, 2, 3]]).all()
         assert out[[1, 4]].tolist() == vorticity_scalars(spec, x[[1, 4]]).tolist()
@@ -761,67 +745,17 @@ class TestScalarRows:
         jacobians.clear()
         spec = CongruenceSpec("gal", 0.5)
         x[:4, 1] = [1.0, 1.99995, 2.0, 3.0]
-        (out,) = _scalar_rows([spec], [x[:4]])
+        out = _scalar_rows(spec, x[:4])
         assert jacobians == [1]
         assert np.isnan(out[1:]).all()
         assert out[0] == vorticity_scalar(spec, Event(0.0, 1.0, 0.0))
         # no row fits: the field is not evaluated
         jacobians.clear()
-        assert np.isnan(_scalar_rows([spec], [x[1:4]])[0]).all()
-        assert _scalar_rows([spec], [np.zeros((0, 4))])[0].shape == (0,)
+        assert np.isnan(_scalar_rows(spec, x[1:4])).all()
+        assert _scalar_rows(spec, np.zeros((0, 4))).shape == (0,)
         assert jacobians == []
 
-    def test_a_field_without_a_row_that_fits_is_left_out_of_the_pass(self):
-        from rotframes.kinematics import _scalar_rows
-
-        spec = CongruenceSpec("tt", 0.5)
-        calls = []
-
-        def u(e):
-            calls.append(e)
-            return four_velocity(e, spec).components
-
-        x = np.zeros((3, 4))
-        x[:, 1] = [0.5, 1.0, 1.5]
-        off_chart = np.zeros((2, 4))
-        off_chart[:, 1] = [1e-5, 2e-5]
-        user_out, spec_out = _scalar_rows([VelocityField(u), spec], [off_chart, x])
-        assert np.isnan(user_out).all() and calls == []
-        assert spec_out.tolist() == _scalar_rows([spec], [x])[0].tolist()
-
-    def test_mixed_fields_equal_the_per_field_calls_bitwise(self, jacobians):
-        from rotframes.kinematics import _scalar_rows
-
-        rng = np.random.default_rng(7)
-
-        def rows(rhos):
-            x = rng.normal(size=(len(rhos), 4))
-            x[:, 1] = rhos
-            return x
-
-        # gal at c / omega = 2: fits, stencil across the light cylinder, fits;
-        # tt: fits, scalar past the float range (rapidity 400), off the chart,
-        # u past the float range, fits; a user field; a gal field with no
-        # row that fits
-        gal = CongruenceSpec("gal", 0.5)
-        fields = [gal, CongruenceSpec("tt", 0.5), _user(CongruenceSpec("mtt", 0.3)), gal]
-        xs = [rows([1.0, 1.99995, 0.3]), rows([1.0, 800.0, 1e-5, 1800.0, 2.5]),
-              rows(rng.uniform(0.2, 3.0, 6)), rows([2.0, 3.0])]
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            mixed = _scalar_rows(fields, xs)
-        assert jacobians == [2 + 4 + 6]
-        singles = [_scalar_rows([f], [x])[0] for f, x in zip(fields, xs)]
-        assert [np.isnan(out).tolist() for out in mixed] == [
-            [False, True, False], [False, True, True, True, False], [False] * 6,
-            [True, True]]
-        for out, single in zip(mixed, singles):
-            assert np.array_equal(out, single, equal_nan=True)
-        with pytest.raises(ValueError, match="share c"):
-            _scalar_rows([gal, CongruenceSpec("tt", 0.5, 2.0)], xs[:2])
-
-    def test_passes_that_straddle_fields_equal_the_per_field_calls(self, jacobians,
-                                                                  monkeypatch):
+    def test_passes_equal_the_one_pass_result_bitwise(self, jacobians, monkeypatch):
         from rotframes import kinematics
 
         rng = np.random.default_rng(11)
@@ -831,24 +765,25 @@ class TestScalarRows:
             x[:, 1] = rhos
             return x
 
-        # gal at c / omega = 2: four rows fit, one stencil crosses the light
-        # cylinder, one row is past it; tt: one scalar past the float range
+        # gal at c / omega = 2: four rows fit, around one whose stencil
+        # crosses the light cylinder and one past it; tt: one scalar past
+        # the float range and one stencil off the chart; a user field
         fields = [CongruenceSpec("gal", 0.5), CongruenceSpec("tt", 0.5),
                   _user(CongruenceSpec("mtt", 0.5))]
-        xs = [rows([1.0, 1.99995, 0.3, 1.5, 2.5, 0.9]), rows([1.0, 800.0, 2.5, 0.7]),
+        xs = [rows([1.0, 1.99995, 0.3, 1.5, 2.5, 0.9]), rows([1.0, 800.0, 1e-5, 2.5, 0.7]),
               rows(rng.uniform(0.2, 3.0, 5))]
-        singles = [kinematics._scalar_rows([f], [x])[0] for f, x in zip(fields, xs)]
+        whole = [kinematics._scalar_rows(f, x) for f, x in zip(fields, xs)]
+        assert jacobians == [4, 4, 5]
         monkeypatch.setattr(kinematics, "_PASS", 3)
         jacobians.clear()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            mixed = kinematics._scalar_rows(fields, xs)
-        # passes: gal 3 | gal 1, tt 2 | tt 2, user 1 | user 3 | user 1
-        assert jacobians == [3, 3, 3, 3, 1]
-        assert np.isnan(mixed[0]).tolist() == [False, True, False, False, True, False]
-        assert np.isnan(mixed[1]).tolist() == [False, True, False, False]
-        for out, single in zip(mixed, singles):
-            assert np.array_equal(out, single, equal_nan=True)
+            passes = [kinematics._scalar_rows(f, x) for f, x in zip(fields, xs)]
+        assert jacobians == [3, 1, 3, 1, 3, 2]
+        assert np.isnan(passes[0]).tolist() == [False, True, False, False, True, False]
+        assert np.isnan(passes[1]).tolist() == [False, True, True, False, False]
+        for out, one in zip(passes, whole):
+            assert out.tobytes() == one.tobytes()
 
     def test_no_pass_exceeds_the_pass_size(self, capsys, jacobians, monkeypatch):
         from rotframes import cli, kinematics
@@ -861,9 +796,9 @@ class TestScalarRows:
         jacobians.clear()
         assert cli.main(argv) == 0
         assert capsys.readouterr().out == expected
-        # the 16 gal rows inside c / omega = 2 and the 20 tt rows, which the
-        # mtt rows reuse
-        assert jacobians == [3] * 12
+        # the 16 gal rows inside c / omega = 2, then the 20 tt rows, which
+        # the mtt rows reuse
+        assert jacobians == [3] * 5 + [1] + [3] * 6 + [2]
 
     def test_overflowing_cli_row_takes_no_jacobian(self, jacobians):
         from rotframes.cli import compute_row
@@ -922,7 +857,7 @@ class TestScalarAt:
         rng = np.random.default_rng(self.SEED)
         outcomes, underflows = set(), 0
         for spec, rho in self._draws(rng, self.DRAWS):
-            (row,) = _scalar_rows([spec], [np.array([[0.0, rho, 0.0, 0.0]])])
+            row = _scalar_rows(spec, np.array([[0.0, rho, 0.0, 0.0]]))
             scalar = _scalar_at(spec, rho)
             assert scalar.hex() == float(row[0]).hex(), (spec, rho)
             outcomes.add((spec.kind, math.isnan(scalar)))
@@ -942,7 +877,7 @@ class TestScalarAt:
         assert _fits(spec, rho, _step(rho, max))
         assert 2.0 * spec.c * (spec.c * rho) == 0.0
         assert math.isnan(_scalar_at(spec, rho))
-        assert np.isnan(_scalar_rows([spec], [np.array([[0.0, rho, 0.0, 0.0]])])[0]).all()
+        assert np.isnan(_scalar_rows(spec, np.array([[0.0, rho, 0.0, 0.0]]))).all()
 
     @pytest.mark.parametrize("perturb", ["", "1e-3", "1e308"])
     def test_tables_on_both_sides_of_the_threshold_agree(self, perturb, monkeypatch):
