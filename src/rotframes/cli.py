@@ -114,8 +114,8 @@ CSV_HEADER = (
 )
 ROW_FIELDS = CSV_HEADER.split(",")
 
-# a three-kind sweep of this many steps peaks at about 223 MiB RSS as CSV and
-# 342 MiB as JSON (ru_maxrss at 152ca44; Python 3.11, numpy 2.4, x86-64 Linux)
+# a three-kind sweep of this many steps peaks at about 238 MiB RSS as CSV and
+# 354 MiB as JSON (ru_maxrss at cf83193; Python 3.11, numpy 2.4, x86-64 Linux)
 MAX_SWEEP_STEPS = 100_000
 PERTURB_ENV = "ROTFRAMES_SELF_CHECK_PERTURB"
 
