@@ -749,11 +749,14 @@ class TestScalarRows:
         assert jacobians == [1]
         assert np.isnan(out[1:]).all()
         assert out[0] == vorticity_scalar(spec, Event(0.0, 1.0, 0.0))
-        # no row fits: the field is not evaluated
+        # no row fits: the field is not evaluated, nor is a user field at
+        # events on the axis
         jacobians.clear()
         assert np.isnan(_scalar_rows(spec, x[1:4])).all()
         assert _scalar_rows(spec, np.zeros((0, 4))).shape == (0,)
-        assert jacobians == []
+        calls = []
+        assert np.isnan(_scalar_rows(VelocityField(calls.append), np.zeros((2, 4)))).all()
+        assert jacobians == [] and calls == []
 
     def test_passes_equal_the_one_pass_result_bitwise(self, jacobians, monkeypatch):
         from rotframes import kinematics
