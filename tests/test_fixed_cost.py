@@ -111,6 +111,9 @@ def test_the_count_sees_numpy_calls_only():
     (lambda: compute_rows(["tt"], [1.0], 0.5, 1.0), 2),
     # a three-kind table on the array path: a gal pass and a tt pass
     (lambda: compute_rows(["gal", "tt", "mtt"], RHOS, 0.5, 1.0), 83),
+    # one tt pass, which the mtt rows reuse
+    (lambda: compute_rows(["tt"], RHOS, 0.5, 1.0), 49),
+    (lambda: compute_rows(["tt", "mtt"], RHOS, 0.5, 1.0), 49),
     # one _scalar_rows pass where every row fits: no gather or scatter
     (lambda: vorticity_scalars(TT, COORDS), 32),
     (lambda: kinematic_sample(CongruenceSpec("gal", 0.5), EVENT), 30),
@@ -121,7 +124,8 @@ def test_the_count_sees_numpy_calls_only():
     (lambda: measure_precession_angle(TT, 1.0, 100000), 21),
     # a transport at its default 1025 samples
     (lambda: fw_transport(WORLDLINE, (0.0, 1.0, 0.0, 0.0), 10.0, 100000), 30),
-], ids=["compare", "precess", "compute_rows 40 rows", "vorticity_scalars tt",
+], ids=["compare", "precess", "compute_rows 40 rows", "compute_rows 40 rows tt",
+        "compute_rows 40 rows tt,mtt", "vorticity_scalars tt",
         "kinematic_sample gal", "kinematic_sample tt", "kinematic_sample user",
         "fw angle gal", "fw angle tt", "fw_transport 1025"])
 def test_one_event_pass_makes_no_more_numpy_calls(call, bound):

@@ -708,6 +708,31 @@ class TestRadialStencil:
         assert 0 < sum(finite) < len(finite)
         assert 0 < sum(isinstance(s, list) for s, _ in outcomes["rho"]) < len(draws)
 
+    @pytest.mark.parametrize("kind", ["gal", "tt", "mtt"])
+    def test_a_row_does_not_depend_on_the_rest_of_its_pass(self, kind, monkeypatch):
+        # a draw's rows differenced alone equal the same rows differenced
+        # among 20 rows of the same field at radii from 1e-6 to 1e3 times
+        # the draw's, which fit or not, in both layouts
+        from rotframes.kinematics import _scalar_rows
+
+        rng = np.random.default_rng([self.SEED, 5, len(kind)])
+        draws = list(self._draws(kind, rng, 40))
+        neighbours = []
+        for layout in ("rho", "all"):
+            if layout == "all":
+                self._every_axis(monkeypatch)
+            for spec, e in draws:
+                x = np.array([e.coords(), e.coords() * (1.0, 1.0 - 2e-6, 1.0, 1.0)])
+                others = rng.normal(size=(20, 4))
+                others[:, 1] = e.rho * 10.0 ** rng.uniform(-6.0, 3.0, 20)
+                at = int(rng.integers(21))
+                with np.errstate(all="ignore"):
+                    whole = _scalar_rows(spec, np.concatenate([others[:at], x, others[at:]]))
+                assert _scalar_rows(spec, x).tobytes() == whole[at:at + 2].tobytes()
+                neighbours.extend(np.isnan(np.delete(whole, [at, at + 1])).tolist())
+        # the neighbours reach both outcomes
+        assert 0 < sum(neighbours) < len(neighbours)
+
 
 class TestScalarRows:
     """kinematics._scalar_rows, the batch routine behind the CLI tables."""
